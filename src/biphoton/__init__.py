@@ -61,8 +61,6 @@ from .optics import (
     polarizer_rotation,
 )
 from .optimize import (
-    NoConvergenceError,
-    NoViolationError,
     OptimizationResult,
     ThresholdResult,
     critical_efficiency,

@@ -11,7 +11,6 @@ failure, 2 usage errors (bad flags, out-of-range parameters).
 import argparse
 import json
 import math
-import os
 import sys
 
 from .bell import (
@@ -31,15 +30,10 @@ from .detection import (
     joint_table,
 )
 from .montecarlo import SamplerConfig, estimate_chsh, estimate_correlation, sample_events
-from .optimize import (
-    NoConvergenceError,
-    NoViolationError,
-    critical_efficiency,
-    maximize_chsh,
-)
+from .optimize import critical_efficiency, maximize_chsh
 from .selftest import run_all
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: published thresholds shipped for comparison in critical-eta output
 REFERENCE_THRESHOLDS = ((1.0, 0.91), (0.875, 0.91), (0.75, 0.92), (0.5, 0.92), (0.0, 0.926))
@@ -67,19 +61,22 @@ def _emit(command: str, parameters: dict, results: dict) -> None:
         "results": _clean(results),
         "schema_version": SCHEMA_VERSION,
     }
-    print(json.dumps(envelope, indent=2))
+    print(json.dumps(envelope, indent=2, allow_nan=False))
 
 
 def _angle(value: float, degrees: bool) -> float:
     return math.radians(value) if degrees else value
 
 
-def _workers() -> int:
-    raw = os.environ.get("BIPHOTON_THREADS", "1")
+def _finite(text: str) -> float:
+    """argparse type of every float argument: NaN and infinities exit 2."""
     try:
-        return max(1, int(raw))
+        value = float(text)
     except ValueError:
-        return 1
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _settings_dict(settings: ChshSettings) -> dict:
@@ -179,18 +176,10 @@ def cmd_chsh(args) -> int:
 
 def cmd_optimize(args) -> int:
     model = DetectorModel(alpha=args.alpha, eta=args.eta)
-    result = maximize_chsh(
-        model, starts=args.starts, tol=args.tol, seed=args.seed, workers=_workers()
-    )
+    result = maximize_chsh(model, starts=args.starts)
     _emit(
         "optimize",
-        {
-            "eta": model.eta,
-            "alpha": model.alpha,
-            "starts": args.starts,
-            "tol": args.tol,
-            "seed": args.seed,
-        },
+        {"eta": model.eta, "alpha": model.alpha, "starts": args.starts},
         {
             "best_value": result.best_value,
             "settings": _settings_dict(result.settings),
@@ -202,12 +191,9 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_critical_eta(args) -> int:
-    if not 0.0 <= args.alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {args.alpha!r}")
-    result = critical_efficiency(
-        args.alpha, tol=args.tol, starts=args.starts, seed=args.seed,
-        workers=_workers(),
-    )
+    if args.starts < 1:
+        raise ValueError("starts must be at least 1")
+    result = critical_efficiency(args.alpha, tol=args.tol)
     reference = None
     for known_alpha, eta in REFERENCE_THRESHOLDS:
         if abs(known_alpha - args.alpha) < 1e-9:
@@ -215,8 +201,7 @@ def cmd_critical_eta(args) -> int:
             break
     _emit(
         "critical-eta",
-        {"alpha": args.alpha, "tol": args.tol, "starts": args.starts,
-         "seed": args.seed},
+        {"alpha": args.alpha, "tol": args.tol, "starts": args.starts},
         {
             "eta_critical": result.eta_critical,
             "bracket_width": result.bracket_width,
@@ -310,31 +295,31 @@ def build_parser() -> argparse.ArgumentParser:
                        help="read angle arguments as degrees")
 
     def add_model(p):
-        p.add_argument("--eta", type=float, default=1.0,
+        p.add_argument("--eta", type=_finite, default=1.0,
                        help="detector efficiency in (0, 1]")
-        p.add_argument("--alpha", type=float, default=1.0,
+        p.add_argument("--alpha", type=_finite, default=1.0,
                        help="double-click recognition probability in [0, 1]")
 
     p = sub.add_parser("probs", help="6x6 joint outcome table")
-    p.add_argument("theta1", type=float)
-    p.add_argument("theta2", type=float)
+    p.add_argument("theta1", type=_finite)
+    p.add_argument("theta2", type=_finite)
     add_model(p)
     add_degrees(p)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_probs)
 
     p = sub.add_parser("correlation", help="E(psi1, psi2) by both routes")
-    p.add_argument("psi1", type=float)
-    p.add_argument("psi2", type=float)
+    p.add_argument("psi1", type=_finite)
+    p.add_argument("psi2", type=_finite)
     add_model(p)
     add_degrees(p)
     p.set_defaults(func=cmd_correlation)
 
     def add_settings(p):
-        p.add_argument("psi1", type=float)
-        p.add_argument("psi1_prime", type=float)
-        p.add_argument("psi2", type=float)
-        p.add_argument("psi2_prime", type=float)
+        p.add_argument("psi1", type=_finite)
+        p.add_argument("psi1_prime", type=_finite)
+        p.add_argument("psi2", type=_finite)
+        p.add_argument("psi2_prime", type=_finite)
 
     p = sub.add_parser("chsh", help="S and the margin over 2")
     add_settings(p)
@@ -342,25 +327,27 @@ def build_parser() -> argparse.ArgumentParser:
     add_degrees(p)
     p.set_defaults(func=cmd_chsh)
 
+    def add_starts(p):
+        p.add_argument("--starts", type=int, default=1,
+                       help="accepted for compatibility; the maximum is closed-form")
+
     p = sub.add_parser("optimize", help="maximize S over the four angles")
     add_model(p)
-    p.add_argument("--starts", type=int, default=64)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--seed", type=int, default=0)
+    add_starts(p)
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("critical-eta", help="efficiency threshold for violation")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--starts", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--alpha", type=_finite, required=True)
+    p.add_argument("--tol", type=_finite, default=1e-4,
+                   help="width of the verified bracket around the threshold")
+    add_starts(p)
     p.set_defaults(func=cmd_critical_eta)
 
     p = sub.add_parser("hom-scan", help="single-station pair statistics vs theta1")
-    p.add_argument("--start", type=float, default=0.0)
-    p.add_argument("--stop", type=float, default=math.pi / 2.0)
+    p.add_argument("--start", type=_finite, default=0.0)
+    p.add_argument("--stop", type=_finite, default=math.pi / 2.0)
     p.add_argument("--points", type=int, default=50)
-    p.add_argument("--theta2", type=float, default=0.0)
+    p.add_argument("--theta2", type=_finite, default=0.0)
     add_degrees(p)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_hom_scan)
@@ -389,7 +376,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NoConvergenceError, NoViolationError, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -78,8 +78,7 @@ class ModeId:
 
     @property
     def label(self) -> str:
-        base = self.beam if self.beam in ("a1", "a2") else self.beam
-        name = f"{base}{_CHANNEL_LABEL[self.channel]}"
+        name = f"{self.beam}{_CHANNEL_LABEL[self.channel]}"
         return f"r({name})" if self.lost else name
 
     def __str__(self) -> str:

@@ -1,39 +1,56 @@
-"""Maximizing the CHSH value and locating detection thresholds.
+"""The CHSH maximum and the critical detector efficiency, in closed form.
 
-The CHSH surface over the four setting angles is smooth and periodic,
-so a multistart derivative-free simplex search from low-discrepancy
-start points finds the global maximum reliably.  The critical detector
-efficiency is then the root of max-CHSH(eta) - 2, bracketed on
-[0.5, 1] and bisected; the inner search is warm-started because the
-optimal angles barely move with eta.
+Efficiency.  Every correlation obeys E(eta) = eta^2 E(1) + (1 - eta)^2
+(see ``bell``), so the CHSH value at efficiency eta is
+
+    S(eta) = eta^2 S1 + 2 (1 - eta)^2,
+
+with S1 the value at perfect detectors.  The settings enter through S1
+alone, so one argmax serves every eta, the maximum is
+eta^2 M + 2 (1 - eta)^2 with M = max S1, and its nonzero root of
+S = 2 is the threshold
+
+    eta_c = 4 / (2 + M)
+
+(Garg & Mermin, PRD 35, 3831 (1987); Eberhard, PRA 47, R747 (1993)).
+
+Maximum.  Summing the four correlations of ``bell`` gives
+
+    S1 = alpha + (1 - alpha)/2 (1 + cos s cos d)
+         - [cos s + cos u + cos v - cos(u + v - s)] / 2,
+
+with s = psi1 + psi2, d = psi1 - psi2, u = psi1' + psi2 and
+v = psi1 + psi2'.  The primed angles enter only through u and v, and d
+only through the local term, which peaks at 1 + |cos s|.  Stationarity
+in u and v gives sin u = sin v = sin(u + v - s); on the branch
+u = v = w it gives s = 3w - pi.  Taking d = pi, so that
+cos s cos d = cos 3w, and writing c = cos w,
+
+    S1(c) = alpha + (1 - alpha)/2 (1 + 4c^3 - 3c) + 2c^3 - 3c,
+
+whose maximum on [-1, 1] sits at c = -sqrt((3 - alpha) / (4 (2 - alpha))):
+
+    M(alpha) = (1 + alpha)/2 + (3 - alpha)^(3/2) / (2 sqrt(2 - alpha)).
+
+M(1) = 1 + sqrt(2) and M(0) = 2.33712.  That no other branch does
+better is checked independently by a random search over all four
+angles, in the tests and in ``validate``.
 """
 
 import math
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.optimize import minimize
-from scipy.stats import qmc
-
-from .bell import ChshSettings
+from .bell import ChshSettings, chsh
 from .detection import DetectorModel
-
-_TWO_PI = 2.0 * math.pi
-
-
-class NoConvergenceError(RuntimeError):
-    """Raised when no simplex start meets the convergence tolerance."""
-
-
-class NoViolationError(RuntimeError):
-    """Raised when even perfect detectors give no CHSH violation."""
 
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Best CHSH value found, with the settings that achieve it."""
+    """Maximum CHSH value, with the settings that achieve it.
+
+    The maximum is computed, not searched for: ``starts_used`` is
+    always 1 and ``converged`` always True.
+    """
 
     best_value: float
     settings: ChshSettings
@@ -43,7 +60,7 @@ class OptimizationResult:
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """Critical efficiency for one alpha, with the final bracket width."""
+    """Critical efficiency for one alpha, with its verified bracket width."""
 
     alpha: float
     eta_critical: float
@@ -51,161 +68,61 @@ class ThresholdResult:
     bracket_width: float
 
 
-def _chsh_value(x, alpha: float, eta: float) -> float:
-    # scalar math is a few times faster than numpy here and this is the
-    # innermost loop of the whole package
-    p1, p1p, p2, p2p = float(x[0]), float(x[1]), float(x[2]), float(x[3])
-    c1 = math.cos(p1) ** 2
-    c1p = math.cos(p1p) ** 2
-    c2 = math.cos(p2) ** 2
-    c2p = math.cos(p2p) ** 2
-    k = 0.25 * (1.0 - alpha)
-    half_alpha = 0.5 * alpha
-    e_ab = -0.5 * math.cos(p1 + p2) + half_alpha + k * (c1 + c2)
-    e_apb = -0.5 * math.cos(p1p + p2) + half_alpha + k * (c1p + c2)
-    e_abp = -0.5 * math.cos(p1 + p2p) + half_alpha + k * (c1 + c2p)
-    e_apbp = -0.5 * math.cos(p1p + p2p) + half_alpha + k * (c1p + c2p)
-    s_ideal = e_ab + e_apb + e_abp - e_apbp
-    return eta * eta * s_ideal + 2.0 * (1.0 - eta) ** 2
+def _optimal_settings(alpha: float) -> ChshSettings:
+    """The maximizing settings of the module docstring, canonicalized."""
+    w = math.acos(-math.sqrt((3.0 - alpha) / (4.0 * (2.0 - alpha))))
+    s = 3.0 * w - math.pi
+    psi1 = 0.5 * (s + math.pi)
+    psi2 = 0.5 * (s - math.pi)
+    return ChshSettings(psi1, w - psi2, psi2, w - psi1).canonical()
 
 
-def _start_points(starts: int, seed: int) -> np.ndarray:
-    with warnings.catch_warnings():
-        # Sobol warns when the count is not a power of two; balance is
-        # irrelevant here, the points only seed local searches
-        warnings.simplefilter("ignore", UserWarning)
-        sampler = qmc.Sobol(d=4, scramble=True, seed=seed)
-        return sampler.random(starts) * _TWO_PI
-
-
-def _polish(x0, alpha: float, eta: float, tol: float):
-    return minimize(
-        lambda x: -_chsh_value(x, alpha, eta),
-        x0,
-        method="Nelder-Mead",
-        options={
-            "xatol": tol,
-            "fatol": tol,
-            "maxiter": 20000,
-            "maxfev": 20000,
-        },
-    )
-
-
-def maximize_chsh(
-    model: DetectorModel,
-    starts: int = 64,
-    tol: float = 1e-9,
-    seed: int = 0,
-    warm_start: ChshSettings = None,
-    workers: int = 1,
-) -> OptimizationResult:
+def maximize_chsh(model: DetectorModel, starts: int = 1) -> OptimizationResult:
     """Global maximum of S over the four setting angles.
 
-    Runs one simplex search per start point (plus the warm start, if
-    given, searched first) and keeps the best converged value; ties go
-    to the earliest start.  Deterministic for fixed (starts, seed,
-    warm_start), whatever ``workers`` is.
+    Equals eta^2 M(alpha) + 2 (1 - eta)^2.  ``starts`` must be at least
+    1 and has no other effect; the maximum needs no search.
     """
     if starts < 1:
         raise ValueError("starts must be at least 1")
-    x0s = []
-    if warm_start is not None:
-        x0s.append(
-            np.array(
-                [
-                    warm_start.psi1,
-                    warm_start.psi1_prime,
-                    warm_start.psi2,
-                    warm_start.psi2_prime,
-                ]
-            )
-        )
-    x0s.extend(_start_points(starts, seed))
-
-    def run(x0):
-        return _polish(x0, model.alpha, model.eta, tol)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, x0s))
-    else:
-        results = [run(x0) for x0 in x0s]
-
-    best = None
-    converged = False
-    for r in results:
-        converged = converged or bool(r.success)
-        if r.success and (best is None or -r.fun > best[0]):
-            best = (-r.fun, r.x)
-    if not converged or best is None:
-        raise NoConvergenceError("no start converged within tolerance")
-
-    settings = ChshSettings(*map(float, best[1])).canonical()
-    # re-evaluate at the canonical angles so the reported pair is
+    settings = _optimal_settings(model.alpha)
+    # evaluated at the canonical angles, so the reported pair is
     # self-consistent to machine precision
-    value = _chsh_value(
-        (settings.psi1, settings.psi1_prime, settings.psi2, settings.psi2_prime),
-        model.alpha,
-        model.eta,
-    )
     return OptimizationResult(
-        best_value=value,
+        best_value=chsh(settings, model),
         settings=settings,
-        starts_used=len(x0s),
-        converged=converged,
+        starts_used=1,
+        converged=True,
     )
 
 
-def critical_efficiency(
-    alpha: float,
-    tol: float = 1e-4,
-    starts: int = 64,
-    seed: int = 0,
-    inner_starts: int = 8,
-    workers: int = 1,
-) -> ThresholdResult:
-    """Smallest efficiency at which max-CHSH still reaches 2.
+def critical_efficiency(alpha: float, tol: float = 1e-4) -> ThresholdResult:
+    """Smallest efficiency at which max-CHSH still reaches 2: 4 / (2 + M).
 
-    Bisects max-CHSH(eta) - 2 on [0.5, 1].  The full ``starts`` budget
-    is spent once at eta = 1; every later maximization is warm-started
-    from the previous best settings (the optimal angles barely move
-    with eta) plus ``inner_starts`` fresh points as a guard.  The
-    returned eta_critical is the final bracket midpoint and
-    ``bracket_width`` the final bracket size (at most ``tol``).
+    The bracket eta_c +/- tol/2, clipped to [0.5, 1], is proven rather
+    than assumed: S at the maximizing settings must lie below 2 at its
+    low end and above 2 at its high end.  ``bracket_width`` is its
+    width, at most ``tol``.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
-
-    top = maximize_chsh(DetectorModel(alpha, 1.0), starts, seed=seed, workers=workers)
-    if top.best_value <= 2.0:
-        raise NoViolationError(
-            f"no violation at perfect detectors (S = {top.best_value})"
-        )
-    lo, hi = 0.5, 1.0
-    warm = top.settings
-    low_end = maximize_chsh(
-        DetectorModel(alpha, lo), inner_starts, seed=seed, warm_start=warm,
-        workers=workers,
-    )
-    if low_end.best_value > 2.0:
-        raise NoViolationError("no bracket: S exceeds 2 over the whole range")
+    top = maximize_chsh(DetectorModel(alpha, 1.0))
+    eta_c = 4.0 / (2.0 + top.best_value)
+    lo = max(0.5, eta_c - 0.5 * tol)
+    hi = min(1.0, eta_c + 0.5 * tol)
+    # rounding eta_c +/- tol/2 can leave the width one ulp over tol
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        r = maximize_chsh(
-            DetectorModel(alpha, mid), inner_starts, seed=seed, warm_start=warm,
-            workers=workers,
-        )
-        warm = r.settings
-        if r.best_value > 2.0:
-            hi = mid
-        else:
-            lo = mid
+        hi = math.nextafter(hi, lo)
+    settings = top.settings
+    below = chsh(settings, DetectorModel(alpha, lo))
+    above = chsh(settings, DetectorModel(alpha, hi))
+    if not below < 2.0 < above:
+        raise ValueError(f"tol {tol!r} is too small to resolve the crossing")
     return ThresholdResult(
         alpha=alpha,
-        eta_critical=0.5 * (lo + hi),
-        settings_at_threshold=warm,
+        eta_critical=eta_c,
+        settings_at_threshold=settings,
         bracket_width=hi - lo,
     )

@@ -229,7 +229,7 @@ def check_optimizer_soundness():
         model = detection.DetectorModel(
             alpha=rng.uniform(0.0, 1.0), eta=rng.uniform(0.5, 1.0)
         )
-        result = optimize.maximize_chsh(model, starts=16)
+        result = optimize.maximize_chsh(model)
         bound = 2.0 * math.sqrt(2.0) * model.eta**2 + 2.0 * (1.0 - model.eta) ** 2
         assert result.best_value <= bound + 1e-9
         direct = bell.chsh(result.settings, model)
@@ -237,8 +237,53 @@ def check_optimizer_soundness():
 
 
 def check_optimizer_ideal_maximum():
-    result = optimize.maximize_chsh(detection.DetectorModel(), starts=32)
+    result = optimize.maximize_chsh(detection.DetectorModel())
     assert abs(result.best_value - (1.0 + math.sqrt(2.0))) < 1e-6
+
+
+def _chsh_batch(x, model):
+    """S at each row (psi1, psi1', psi2, psi2') of ``x``, vectorized."""
+    p1, p1p, p2, p2p = x.T
+
+    def e(a, b):
+        return (
+            -0.5 * np.cos(a + b)
+            + 0.5 * model.alpha
+            + 0.25 * (1.0 - model.alpha) * (np.cos(a) ** 2 + np.cos(b) ** 2)
+        )
+
+    s1 = e(p1, p2) + e(p1p, p2) + e(p1, p2p) - e(p1p, p2p)
+    return model.eta**2 * s1 + 2.0 * (1.0 - model.eta) ** 2
+
+
+#: random settings drawn per chunk, so memory stays a few MB at any n
+_SEARCH_CHUNK = 1 << 16
+
+
+def random_search_chsh(model, n, rng) -> float:
+    """Best S over ``n`` uniformly random settings, drawn in chunks.
+
+    The vectorized S is checked against ``bell.chsh`` on the first rows
+    of every chunk, so the search is an oracle for the closed-form
+    maximum that shares no code with ``optimize``.
+    """
+    best = -math.inf
+    for start in range(0, n, _SEARCH_CHUNK):
+        x = rng.uniform(0.0, 2.0 * math.pi, size=(min(_SEARCH_CHUNK, n - start), 4))
+        values = _chsh_batch(x, model)
+        for row, value in zip(x[:4], values):
+            assert abs(bell.chsh(bell.ChshSettings(*row), model) - value) < 1e-12
+        best = max(best, float(values.max()))
+    return best
+
+
+def check_random_search_never_beats_closed_form():
+    rng = _rng()
+    for alpha in (0.0, 0.5, 1.0):
+        model = detection.DetectorModel(alpha=alpha)
+        best = optimize.maximize_chsh(model).best_value
+        found = random_search_chsh(model, _SEARCH_CHUNK, rng)
+        assert found <= best + 1e-12, (alpha, found, best)
 
 
 ALL_CHECKS = (
@@ -258,6 +303,8 @@ ALL_CHECKS = (
     ("montecarlo: frequencies converge to the table", check_sampler_frequencies),
     ("optimize: value is sound and self-consistent", check_optimizer_soundness),
     ("optimize: ideal maximum is 1 + sqrt(2)", check_optimizer_ideal_maximum),
+    ("optimize: random search never beats the closed form",
+     check_random_search_never_beats_closed_form),
 )
 
 

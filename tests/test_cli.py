@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import pytest
 
@@ -19,7 +20,7 @@ def test_probs_envelope_and_example_value(capsys):
     assert code == 0
     assert list(env) == ["command", "parameters", "results", "schema_version"]
     assert env["command"] == "probs"
-    assert env["schema_version"] == 1
+    assert env["schema_version"] == 2
     rec = {(r["i"], r["j"]): r for r in env["results"]["records"]}
     expected = (1.0 + math.cos(math.pi / 4.0)) / 8.0
     assert abs(rec[(2, 1)]["p"] - expected) < 1e-9
@@ -77,7 +78,6 @@ def test_optimize_envelope(capsys):
     code, env = run_json(capsys, ["optimize", "--starts", "16"])
     assert code == 0
     assert abs(env["results"]["best_value"] - (1.0 + math.sqrt(2.0))) < 1e-6
-    assert env["results"]["starts_used"] == 16
     assert env["results"]["converged"] is True
     assert set(env["results"]["settings"]) == {
         "psi1", "psi1_prime", "psi2", "psi2_prime",
@@ -147,6 +147,27 @@ def test_out_of_range_parameters_exit_2(capsys):
     assert main(["correlation", "0.1", "0.2", "--alpha", "2"]) == 2
     assert main(["critical-eta", "--alpha", "-0.5"]) == 2
     assert main(["hom-scan", "--points", "1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hom-scan", "--start", "nan", "--points", "2"],
+        ["probs", "inf", "0"],
+        ["chsh", "nan", "1", "2", "3"],
+        ["correlation", "nan", "0"],
+        ["sample", "nan", "1", "2", "3", "--n", "10", "--out", os.devnull],
+        ["critical-eta", "--alpha", "1", "--tol", "nan"],
+        ["probs", "0", "0", "--eta=-inf"],
+    ],
+)
+def test_non_finite_input_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected a finite number" in captured.err
 
 
 def test_usage_error_exits_2():

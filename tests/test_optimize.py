@@ -1,32 +1,40 @@
+import dataclasses
 import math
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import biphoton
 from biphoton.bell import ChshSettings, chsh
 from biphoton.detection import DetectorModel
 from biphoton.optimize import (
-    OptimizationResult,
     ThresholdResult,
     critical_efficiency,
     maximize_chsh,
 )
+from biphoton.selftest import random_search_chsh
 
 EXACT_THRESHOLD_IDEAL = 4.0 / (3.0 + math.sqrt(2.0))
 
+REFERENCE_ALPHAS = (1.0, 0.875, 0.75, 0.5, 0.0)
+
 
 def test_ideal_maximum_is_one_plus_sqrt2():
-    result = maximize_chsh(DetectorModel(), starts=32)
+    result = maximize_chsh(DetectorModel())
     assert result.converged
     assert abs(result.best_value - (1.0 + math.sqrt(2.0))) < 1e-6
 
 
 def test_alpha_zero_maximum():
-    result = maximize_chsh(DetectorModel(alpha=0.0), starts=32)
+    result = maximize_chsh(DetectorModel(alpha=0.0))
     assert abs(result.best_value - 2.33712) < 1e-4
 
 
 def test_quoted_angles_sit_at_the_alpha_zero_maximum():
-    result = maximize_chsh(DetectorModel(alpha=0.0), starts=32)
+    result = maximize_chsh(DetectorModel(alpha=0.0))
     quoted = chsh(
         ChshSettings(2.93798, 4.25513, -0.20241, 1.11708), DetectorModel(alpha=0.0)
     )
@@ -37,12 +45,12 @@ def test_quoted_angles_sit_at_the_alpha_zero_maximum():
 def test_reported_value_matches_reported_settings():
     for alpha in (0.0, 0.6, 1.0):
         model = DetectorModel(alpha=alpha, eta=0.93)
-        result = maximize_chsh(model, starts=16)
+        result = maximize_chsh(model)
         assert abs(result.best_value - chsh(result.settings, model)) < 1e-9
 
 
 def test_reported_settings_are_canonical():
-    result = maximize_chsh(DetectorModel(), starts=16)
+    result = maximize_chsh(DetectorModel())
     s = result.settings
     assert 0.0 <= s.psi1 < 2.0 * math.pi
     assert 0.0 <= s.psi1_prime < 2.0 * math.pi
@@ -52,32 +60,50 @@ def test_reported_settings_are_canonical():
 
 def test_value_never_exceeds_soundness_bound():
     for alpha, eta in ((0.0, 1.0), (0.5, 0.8), (1.0, 0.7), (0.3, 0.55)):
-        result = maximize_chsh(DetectorModel(alpha, eta), starts=16)
+        result = maximize_chsh(DetectorModel(alpha, eta))
         bound = 2.0 * math.sqrt(2.0) * eta * eta + 2.0 * (1.0 - eta) ** 2
         assert result.best_value <= bound + 1e-9
 
 
 def test_maximum_is_monotone_in_alpha():
     values = [
-        maximize_chsh(DetectorModel(alpha=a), starts=16).best_value
+        maximize_chsh(DetectorModel(alpha=a)).best_value
         for a in (0.0, 0.25, 0.5, 0.75, 1.0)
     ]
     for lo, hi in zip(values, values[1:]):
         assert hi >= lo - 1e-7
 
 
-def test_warm_start_counts_as_extra_start():
-    warm = ChshSettings(0.0, math.pi / 2, 3 * math.pi / 4, 5 * math.pi / 4)
-    result = maximize_chsh(DetectorModel(), starts=4, warm_start=warm)
-    assert result.starts_used == 5
-    assert abs(result.best_value - (1.0 + math.sqrt(2.0))) < 1e-6
+@pytest.mark.parametrize("alpha", (0.0, 0.25, 0.5, 0.75, 1.0))
+def test_random_search_never_beats_the_closed_form(alpha):
+    model = DetectorModel(alpha, 0.93)
+    best = maximize_chsh(model).best_value
+    found = random_search_chsh(model, 10**6, np.random.default_rng(int(alpha * 100)))
+    assert found <= best + 1e-12
 
 
-def test_workers_do_not_change_the_result():
-    serial = maximize_chsh(DetectorModel(alpha=0.4), starts=8)
-    threaded = maximize_chsh(DetectorModel(alpha=0.4), starts=8, workers=4)
-    assert serial.best_value == threaded.best_value
-    assert serial.settings == threaded.settings
+@pytest.mark.parametrize("alpha", (0.0, 0.25, 0.5, 0.75, 1.0))
+def test_gradient_vanishes_at_the_reported_settings(alpha):
+    model = DetectorModel(alpha, 0.93)
+    x = np.array(dataclasses.astuple(maximize_chsh(model).settings))
+    h = 1e-5
+    for step in h * np.eye(4):
+        up = chsh(ChshSettings(*(x + step)), model)
+        down = chsh(ChshSettings(*(x - step)), model)
+        assert abs(up - down) / (2.0 * h) < 1e-6
+
+
+def test_cli_import_loads_neither_scipy_nor_threads():
+    src = str(Path(biphoton.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import biphoton.cli; "
+        "print(sorted({'scipy', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_parameter_validation():
@@ -91,37 +117,37 @@ def test_parameter_validation():
         critical_efficiency(1.0, tol=0.0)
 
 
-def test_threshold_at_ideal_recognition():
-    result = critical_efficiency(1.0, starts=32)
+@pytest.mark.parametrize("alpha", REFERENCE_ALPHAS)
+def test_threshold_at_ideal_recognition(alpha):
+    result = critical_efficiency(alpha)
     assert isinstance(result, ThresholdResult)
-    assert abs(result.eta_critical - EXACT_THRESHOLD_IDEAL) < 1e-4
+    if alpha == 1.0:
+        assert abs(result.eta_critical - EXACT_THRESHOLD_IDEAL) < 1e-4
     assert result.bracket_width <= 1e-4
     # the bracket truly straddles the crossing
     half = 0.5 * result.bracket_width
     below = maximize_chsh(
-        DetectorModel(1.0, result.eta_critical - 2.0 * half),
+        DetectorModel(alpha, result.eta_critical - 2.0 * half),
         starts=4,
-        warm_start=result.settings_at_threshold,
     )
     above = maximize_chsh(
-        DetectorModel(1.0, result.eta_critical + 2.0 * half),
+        DetectorModel(alpha, result.eta_critical + 2.0 * half),
         starts=4,
-        warm_start=result.settings_at_threshold,
     )
     assert below.best_value < 2.0 < above.best_value
 
 
 def test_threshold_is_monotone_in_alpha():
     etas = [
-        critical_efficiency(a, starts=16).eta_critical for a in (0.0, 0.5, 1.0)
+        critical_efficiency(a).eta_critical for a in (0.0, 0.5, 1.0)
     ]
     for hi, lo in zip(etas, etas[1:]):
         assert lo <= hi + 1e-4
 
 
 def test_threshold_settings_still_achieve_the_maximum():
-    result = critical_efficiency(1.0, starts=16)
+    result = critical_efficiency(1.0)
     model = DetectorModel(1.0, result.eta_critical)
     direct = chsh(result.settings_at_threshold, model)
-    fresh = maximize_chsh(model, starts=16)
+    fresh = maximize_chsh(model)
     assert abs(direct - fresh.best_value) < 1e-6
