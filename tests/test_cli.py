@@ -1,10 +1,26 @@
+import hashlib
+import importlib.util
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
 from biphoton.cli import main
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _perfbench_workloads():
+    """The benchmark's workload module, for its sampler configs and argv."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 IDEAL = ["0", "1.5707963267948966", "2.356194490192345", "3.9269908169872414"]
 
@@ -131,6 +147,18 @@ def test_sample_writes_deterministic_csv(tmp_path, capsys):
     assert set(env1["results"]["per_setting"]) == {"AB", "A'B", "AB'", "A'B'"}
     assert env1["results"]["s_estimate"] == env2["results"]["s_estimate"]
     assert env1["results"]["s_stderr"] > 0.0
+
+
+@pytest.mark.parametrize("config", range(6))
+def test_sample_matches_benchmark_golden(config, tmp_path, capsys):
+    # the benchmark counts any other bytes or S as a failed export
+    workloads = _perfbench_workloads()
+    pin = workloads.load_pins(1000)[config]
+    out = tmp_path / "events.csv"
+    code, env = run_json(capsys, workloads.export_argv(pin, 1000, out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == pin["sha256"]
+    assert env["results"]["s_estimate"] == float(f"{pin['s_estimate']:.9g}")
 
 
 def test_sample_io_error_exits_1(tmp_path, capsys):

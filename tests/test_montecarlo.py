@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -57,6 +58,65 @@ def test_csv_export_is_byte_identical(tmp_path):
     header = b1.splitlines()[0].decode()
     assert header == "index,setting,psi1,psi2,raw1,raw2,obs1,obs2,a,b"
     assert len(b1.splitlines()) == 1 + 4 * 500
+
+
+#: sha256 of the CSV bytes of seeded batches, pinned from the row-by-row
+#: writer; any change to the export format or to the draw shows here
+CSV_PINS = {
+    "alpha0_lossy": (
+        SamplerConfig(5, 500, DetectorModel(alpha=0.0, eta=0.9), IDEAL_SETTINGS),
+        "0596338e78cbd7729941bd5ed09842e92cf6480548fb076cc0eb02a4a4432441",
+    ),
+    "negative_angles": (
+        SamplerConfig(31, 500, DetectorModel(alpha=0.6, eta=0.85),
+                      ChshSettings(-0.3, -1.2, 0.7, -2.5)),
+        "a946e0320e5a2ef9918994caa8211750a3f982a51814dd9eafafff5601f2be44",
+    ),
+    # 70000 per setting crosses the sampler's CHUNK_SIZE in every setting
+    "above_chunk": (
+        SamplerConfig(77, 70_000, DetectorModel(alpha=0.5, eta=0.95),
+                      ChshSettings(0.4, 2.2, -0.9, 1.3)),
+        "c398d8569d31eeaeab864f6526eb5f039495927945cd40c09fb633e4e11060a8",
+    ),
+}
+
+#: sub-batches of the alpha0_lossy batch: rows are renumbered from 0
+SUB_BATCH_PINS = {
+    "stride_7": (
+        lambda b: b[::7],
+        "2158cd7823a774e410937e0c64e3694a99b5ac7aa383ea059dd7a56768c769fd",
+    ),
+    "obs1_is_1": (
+        lambda b: b[b.obs1 == 1],
+        "e8f0956cb7ec1145ce57f7c8e347dac8467e3505ae57dc7906d9e49b02a97887",
+    ),
+    "group_AB_prime": (
+        lambda b: b.split_by_setting()["AB'"],
+        "5a8799dac8f70c5d766904ab28e8bcb7bffbb3ba44a6d345adbd7d0db4ad4c68",
+    ),
+    "header_only": (
+        lambda b: b[:0],
+        "a1fbc0afb924d0ff9359543a87a68ad62b69511e8fbb8c83bfd0d5242462170c",
+    ),
+}
+
+
+def csv_sha256(batch, path):
+    batch.to_csv(path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CSV_PINS))
+def test_csv_bytes_are_pinned(name, tmp_path):
+    cfg, digest = CSV_PINS[name]
+    assert csv_sha256(sample_events(cfg), tmp_path / "events.csv") == digest
+
+
+@pytest.mark.parametrize("name", sorted(SUB_BATCH_PINS))
+def test_sub_batch_csv_bytes_are_pinned(name, tmp_path):
+    take, digest = SUB_BATCH_PINS[name]
+    batch = take(sample_events(CSV_PINS["alpha0_lossy"][0]))
+    assert csv_sha256(batch, tmp_path / "events.csv") == digest
 
 
 def test_raw_stream_does_not_depend_on_alpha():
