@@ -219,6 +219,9 @@ def cmd_hom_scan(args) -> int:
     stop = _angle(args.stop, args.degrees)
     theta2 = _angle(args.theta2, args.degrees)
     step = (stop - start) / (args.points - 1)
+    if not math.isfinite(step):
+        raise ValueError(f"hom-scan range from {start!r} to {stop!r} is too wide: "
+                         "the step between points overflows")
     rows = []
     for k in range(args.points):
         theta1 = start + k * step

@@ -5,12 +5,12 @@ alpha = 1; recognition errors are then applied per event and per station
 (class 6 relabeled 1, class 5 relabeled 2, each with probability
 1 - alpha).  Randomness comes from the counter-based Philox generator,
 with one independent stream per (seed, setting index, chunk index), so
-output is reproducible bit for bit regardless of chunking or thread
-count.  Each event consumes three uniforms: cell choice, station-1
+output is reproducible bit for bit regardless of chunking.  Each event consumes three uniforms: cell choice, station-1
 relabel, station-2 relabel; the raw stream therefore does not depend on
 alpha.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,6 +21,9 @@ from .detection import DEFAULT_ASSIGNMENT, DetectorModel, StationOutcome, joint_
 
 #: events drawn per Philox stream
 CHUNK_SIZE = 1 << 16
+
+#: rows formatted per write in EventBatch.to_csv
+CSV_CHUNK = 1 << 12
 
 
 class EmptyEventsError(ValueError):
@@ -113,6 +116,8 @@ class EventBatch:
             if not 0 <= idx < len(self):
                 raise IndexError(idx)
             code = int(self.setting_codes[idx])
+            obs1 = int(self.obs1[idx])
+            obs2 = int(self.obs2[idx])
             return EventRecord(
                 index=idx,
                 setting=self.labels[code],
@@ -120,10 +125,9 @@ class EventBatch:
                 psi2=float(self._psi2[code]),
                 raw=(StationOutcome(int(self.raw1[idx])),
                      StationOutcome(int(self.raw2[idx]))),
-                observed=(StationOutcome(int(self.obs1[idx])),
-                          StationOutcome(int(self.obs2[idx]))),
-                a=int(self.a[idx]),
-                b=int(self.b[idx]),
+                observed=(StationOutcome(obs1), StationOutcome(obs2)),
+                a=DEFAULT_ASSIGNMENT.a[obs1 - 1],
+                b=DEFAULT_ASSIGNMENT.b[obs2 - 1],
             )
         return EventBatch(
             self.labels, self._psi1, self._psi2,
@@ -143,20 +147,31 @@ class EventBatch:
         return out
 
     def to_csv(self, path) -> None:
-        """Deterministic CSV export; identical configs give identical bytes."""
-        a = self.a
-        b = self.b
+        """Deterministic CSV export; identical configs give identical bytes.
+
+        Everything after a row's index depends only on its setting and its
+        four outcome classes, so those row tails are formatted once per
+        call and looked up by an integer key, CSV_CHUNK rows per write.
+        """
+        va = DEFAULT_ASSIGNMENT
+        pairs = list(itertools.product(range(1, 7), repeat=2))
+        settings = [f"{label},{psi1:.9g},{psi2:.9g},"
+                    for label, psi1, psi2 in zip(self.labels, self._psi1, self._psi2)]
+        raws = [f"{r1},{r2}," for r1, r2 in pairs]
+        observed = [f"{o1},{o2},{va.a[o1 - 1]},{va.b[o2 - 1]}\n" for o1, o2 in pairs]
+        tails = [s + r + o for s in settings for r in raws for o in observed]
         with open(path, "w", newline="") as fh:
             fh.write("index,setting,psi1,psi2,raw1,raw2,obs1,obs2,a,b\n")
-            for i in range(len(self)):
-                code = int(self.setting_codes[i])
-                fh.write(
-                    f"{i},{self.labels[code]},"
-                    f"{self._psi1[code]:.9g},{self._psi2[code]:.9g},"
-                    f"{int(self.raw1[i])},{int(self.raw2[i])},"
-                    f"{int(self.obs1[i])},{int(self.obs2[i])},"
-                    f"{int(a[i])},{int(b[i])}\n"
-                )
+            for start in range(0, len(self), CSV_CHUNK):
+                rows = slice(start, start + CSV_CHUNK)
+                # intp before any arithmetic: the columns are uint8
+                key = self.setting_codes[rows].astype(np.intp)
+                for col in (self.raw1, self.raw2, self.obs1, self.obs2):
+                    key = key * 6 + col[rows] - 1
+                fh.write("".join([
+                    f"{i},{tails[k]}"
+                    for i, k in enumerate(key.tolist(), start)
+                ]))
 
 
 def _stream(seed: int, setting_index: int, chunk_index: int) -> np.random.Generator:

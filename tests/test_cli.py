@@ -198,6 +198,13 @@ def test_non_finite_input_exits_2(argv, capsys):
     assert "expected a finite number" in captured.err
 
 
+def test_hom_scan_overflowing_range_exits_2(capsys):
+    assert main(["hom-scan", "--start=-1e308", "--stop", "1e308", "--points", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "range from -1e+308 to 1e+308" in captured.err
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["probs", "0.1"])

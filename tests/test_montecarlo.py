@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,6 +118,20 @@ def test_sub_batch_csv_bytes_are_pinned(name, tmp_path):
     take, digest = SUB_BATCH_PINS[name]
     batch = take(sample_events(CSV_PINS["alpha0_lossy"][0]))
     assert csv_sha256(batch, tmp_path / "events.csv") == digest
+
+
+def test_csv_export_memory_is_bounded_by_the_write_chunk(tmp_path):
+    # 2.8e5 rows make an 8.7 MB file: building it as one string would
+    # break the bound, writing it a chunk at a time peaks near 1 MiB
+    batch = sample_events(CSV_PINS["above_chunk"][0])
+    tracemalloc.start()
+    try:
+        batch.to_csv(tmp_path / "events.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(batch) == 280_000
+    assert peak < 4 * 2**20
 
 
 def test_raw_stream_does_not_depend_on_alpha():
@@ -267,6 +282,34 @@ def test_event_records_and_iteration():
         seen += 1
         assert r.a in (-1, 1)
     assert seen == len(events)
+
+
+def test_records_read_columns_per_element(monkeypatch):
+    events = sample_events(small_cfg(alpha=0.0, n=300))
+    a = events.a.tolist()
+    b = events.b.tolist()
+
+    def whole_column(self):
+        raise AssertionError("a record read rebuilt a whole value column")
+
+    monkeypatch.setattr(EventBatch, "a", property(whole_column))
+    monkeypatch.setattr(EventBatch, "b", property(whole_column))
+    records = list(events)
+    assert [r.index for r in records] == list(range(len(events)))
+    assert [r.setting for r in records] == [
+        events.labels[c] for c in events.setting_codes
+    ]
+    assert [r.psi1 for r in records] == events.psi1.tolist()
+    assert [r.psi2 for r in records] == events.psi2.tolist()
+    assert [r.raw for r in records] == list(
+        zip(events.raw1.tolist(), events.raw2.tolist())
+    )
+    assert [r.observed for r in records] == list(
+        zip(events.obs1.tolist(), events.obs2.tolist())
+    )
+    assert [r.a for r in records] == a
+    assert [r.b for r in records] == b
+    assert -1 in a and 1 in a
 
 
 def test_values_follow_default_assignment():
