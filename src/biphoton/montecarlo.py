@@ -5,9 +5,9 @@ alpha = 1; recognition errors are then applied per event and per station
 (class 6 relabeled 1, class 5 relabeled 2, each with probability
 1 - alpha).  Randomness comes from the counter-based Philox generator,
 with one independent stream per (seed, setting index, chunk index), so
-output is reproducible bit for bit regardless of chunking.  Each event consumes three uniforms: cell choice, station-1
-relabel, station-2 relabel; the raw stream therefore does not depend on
-alpha.
+output is reproducible bit for bit regardless of chunking.  Each event
+consumes three uniforms: cell choice, station-1 relabel, station-2
+relabel; the raw stream therefore does not depend on alpha.
 """
 
 import itertools
