@@ -58,6 +58,7 @@ from .optics import (
     beamsplitter_5050,
     build_experiment_state,
     loss_channel,
+    network_matrix,
     polarizer_rotation,
 )
 from .optimize import (

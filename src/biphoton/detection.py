@@ -28,11 +28,9 @@ from .fock import (
     C_PERP,
     D_PAR,
     D_PERP,
-    FockState,
     OccupationVector,
-    norm,
 )
-from .optics import ExperimentConfig, build_experiment_state
+from .optics import NETWORK_MODES, ExperimentConfig, network_matrix
 
 
 class ImpossibleCountError(ValueError):
@@ -185,23 +183,41 @@ class JointProbabilityTable:
         return out
 
 
-def joint_table(theta1: float, theta2: float, eta: float = 1.0) -> JointProbabilityTable:
-    """Joint class probabilities from the loss-expanded state.
+#: flat 6x6 cell of the click classes of each ordered pair of network
+#: modes (row-major over NETWORK_MODES x NETWORK_MODES)
+_PAIR_CELL = np.array([
+    6 * (i - 1) + (j - 1)
+    for i, j in (
+        classify(OccupationVector.of(m, n))
+        for m in NETWORK_MODES for n in NETWORK_MODES
+    )
+])
 
-    Every entry is a Born-rule sum over final kets; nothing is copied
-    from the closed forms, which serve as an independent cross-check.
-    The table carries alpha = 1 (recognition errors are applied later).
+
+def joint_table(theta1: float, theta2: float, eta: float = 1.0) -> JointProbabilityTable:
+    """Joint class probabilities from the two-photon network matrix.
+
+    With ``u`` the 2 x 8 network matrix (``optics.network_matrix``), the
+    pair a1x^dag a2y^dag |0> leaves as sum_ij u[0, i] u[1, j] b_i^dag b_j^dag
+    |0>, so the amplitude of one photon in mode i and one in mode j is the
+    2x2 permanent S_ij = u[0, i] u[1, j] + u[0, j] u[1, i].  Each ordered
+    pair (i, j) carries |S_ij|^2 / 2, which also gives the doubly occupied
+    ket its bosonic factor: |sqrt(2) u[0, i] u[1, i]|^2 = |S_ii|^2 / 2.
+    The 64 pair probabilities are summed into the cells ``classify``
+    assigns them; nothing is copied from the closed forms, which serve as
+    an independent cross-check.  The table carries alpha = 1 (recognition
+    errors are applied later).
     """
     cfg = ExperimentConfig(theta1, theta2, eta, include_loss=eta < 1.0)
-    state = build_experiment_state(cfg)
-    n = norm(state)
+    u0, u1 = network_matrix(cfg)
+    s = np.outer(u0, u1)
+    s += s.T
+    pair = 0.5 * (s.real ** 2 + s.imag ** 2)
+    probs = np.bincount(_PAIR_CELL, weights=pair.ravel(), minlength=36)
+    n = math.sqrt(probs.sum())
     if abs(n - 1.0) > 1e-9:
         raise RuntimeError(f"pipeline produced norm {n!r}, expected 1")
-    probs = np.zeros((6, 6))
-    for occ, amp in state.items():
-        i, j = classify(occ)
-        probs[i - 1, j - 1] += abs(amp) ** 2
-    return JointProbabilityTable(probs, theta1, theta2, eta, 1.0)
+    return JointProbabilityTable(probs.reshape(6, 6), theta1, theta2, eta, 1.0)
 
 
 def apply_alpha_confusion(table: JointProbabilityTable, alpha: float) -> JointProbabilityTable:

@@ -5,9 +5,10 @@ alpha = 1; recognition errors are then applied per event and per station
 (class 6 relabeled 1, class 5 relabeled 2, each with probability
 1 - alpha).  Randomness comes from the counter-based Philox generator,
 with one independent stream per (seed, setting index, chunk index), so
-output is reproducible bit for bit regardless of chunking.  Each event
-consumes three uniforms: cell choice, station-1 relabel, station-2
-relabel; the raw stream therefore does not depend on alpha.
+for a fixed CHUNK_SIZE the output is reproducible bit for bit.  Changing
+CHUNK_SIZE changes every event after the first chunk of each setting.
+Each event consumes three uniforms: cell choice, station-1 relabel,
+station-2 relabel; the raw stream therefore does not depend on alpha.
 """
 
 import itertools
@@ -184,46 +185,34 @@ def sample_events(cfg: SamplerConfig) -> EventBatch:
     """Draw n_per_setting events for each of the four CHSH settings."""
     n = int(cfg.n_per_setting)
     alpha = cfg.model.alpha
-    labels = []
-    psi1s = []
-    psi2s = []
-    codes = []
-    raws1 = []
-    raws2 = []
-    obss1 = []
-    obss2 = []
-    for k, (label, psi) in enumerate(cfg.settings.pairs()):
-        labels.append(label)
-        psi1s.append(psi.psi1)
-        psi2s.append(psi.psi2)
+    pairs = cfg.settings.pairs()
+    codes = np.repeat(np.arange(len(pairs), dtype=np.uint8), n)
+    raw1, raw2, obs1, obs2 = (np.empty(len(codes), dtype=np.uint8) for _ in range(4))
+    for k, (_, psi) in enumerate(pairs):
         theta1, theta2 = psi.to_thetas()
         table = joint_table(theta1, theta2, cfg.model.eta)
         cum = np.cumsum(table.probs.reshape(36))
         # float roundoff must not leave a gap above the last cell
         cum[-1] = max(cum[-1], 1.0)
-        for chunk_index in range(math.ceil(n / CHUNK_SIZE)):
-            m = min(CHUNK_SIZE, n - chunk_index * CHUNK_SIZE)
-            u = _stream(cfg.seed, k, chunk_index).random((3, m))
-            cell = np.searchsorted(cum, u[0], side="right").astype(np.uint8)
-            raw1 = (cell // 6 + 1).astype(np.uint8)
-            raw2 = (cell % 6 + 1).astype(np.uint8)
-            obs1 = raw1.copy()
-            obs2 = raw2.copy()
-            rel1 = u[1] < (1.0 - alpha)
-            rel2 = u[2] < (1.0 - alpha)
-            obs1[(raw1 == 6) & rel1] = 1
-            obs1[(raw1 == 5) & rel1] = 2
-            obs2[(raw2 == 6) & rel2] = 1
-            obs2[(raw2 == 5) & rel2] = 2
-            codes.append(np.full(m, k, dtype=np.uint8))
-            raws1.append(raw1)
-            raws2.append(raw2)
-            obss1.append(obs1)
-            obss2.append(obs2)
+        for chunk_index, start in enumerate(range(0, n, CHUNK_SIZE)):
+            m = min(CHUNK_SIZE, n - start)
+            rows = slice(k * n + start, k * n + start + m)
+            g = _stream(cfg.seed, k, chunk_index)
+            # the draw order (cell, station-1 relabel, station-2 relabel)
+            # fixes which uniform drives what, and so the output bytes
+            cell = np.searchsorted(cum, g.random(m), side="right").astype(np.uint8)
+            raw1[rows] = cell // 6 + 1
+            raw2[rows] = cell % 6 + 1
+            for raw, obs in ((raw1[rows], obs1[rows]), (raw2[rows], obs2[rows])):
+                relabel = g.random(m) < (1.0 - alpha)
+                obs[:] = raw
+                obs[(raw == 6) & relabel] = 1
+                obs[(raw == 5) & relabel] = 2
     return EventBatch(
-        labels, psi1s, psi2s,
-        np.concatenate(codes), np.concatenate(raws1), np.concatenate(raws2),
-        np.concatenate(obss1), np.concatenate(obss2),
+        [label for label, _ in pairs],
+        [psi.psi1 for _, psi in pairs],
+        [psi.psi2 for _, psi in pairs],
+        codes, raw1, raw2, obs1, obs2,
     )
 
 
@@ -233,7 +222,7 @@ def estimate_correlation(events: EventBatch) -> tuple:
         raise EmptyEventsError("no events")
     if len(np.unique(events.setting_codes)) > 1:
         raise MixedSettingsError("events span several settings")
-    ab = events.a.astype(float) * events.b
+    ab = events.a * events.b
     n = len(ab)
     mean = float(ab.mean())
     var = float(ab.var(ddof=1)) if n > 1 else 0.0

@@ -22,6 +22,10 @@ followed by one polarization analyzer per station,
 and, optionally, one loss channel per detected mode,
 
     t^dag -> sqrt(1 - eta) r^dag + sqrt(eta) t^dag.
+
+``build_experiment_state`` runs the pipeline on the sparse Fock state;
+``network_matrix`` composes the same elements into one 2 x 8 matrix
+taking the two source modes to the detected modes and their loss twins.
 """
 
 import math
@@ -50,6 +54,11 @@ from .fock import (
 
 #: maximum row-orthonormality defect tolerated at construction
 UNITARY_TOLERANCE = 1e-12
+
+#: columns of ``network_matrix``: the detected modes, then their loss twins
+NETWORK_MODES = DETECTED_MODES + tuple(
+    ModeId(m.beam, m.channel, lost=True) for m in DETECTED_MODES
+)
 
 
 class UnknownModeError(ValueError):
@@ -203,3 +212,27 @@ def build_experiment_state(cfg: ExperimentConfig) -> FockState:
         for mode in DETECTED_MODES:
             state = apply(loss_channel(mode, cfg.eta), state)
     return state
+
+
+def network_matrix(cfg: ExperimentConfig) -> np.ndarray:
+    """The pipeline of ``build_experiment_state`` as one 2 x 8 isometry.
+
+    Row 0 is the image of a1x^dag and row 1 that of a2y^dag, over the
+    columns NETWORK_MODES.  It is the product of the same element
+    matrices, so every element still passes its isometry check.  Without
+    ``include_loss`` the loss-twin columns are zero.
+    """
+    # mode -> its column so far: the amplitudes from a1x and from a2y
+    columns = {A1X: np.array([1.0 + 0j, 0j]), A2Y: np.array([0j, 1.0 + 0j])}
+    elements = [
+        beamsplitter_5050(),
+        polarizer_rotation(1, cfg.theta1),
+        polarizer_rotation(2, cfg.theta2),
+    ]
+    if cfg.include_loss:
+        elements += [loss_channel(mode, cfg.eta) for mode in DETECTED_MODES]
+    for t in elements:
+        images = np.array([columns.pop(m) for m in t.input_modes]).T @ t.matrix
+        columns.update(zip(t.output_modes, images.T))
+    zero = np.zeros(2, dtype=complex)
+    return np.array([columns.get(m, zero) for m in NETWORK_MODES]).T

@@ -46,7 +46,20 @@ def check_transform_unitarity():
         assert optics.loss_channel(fock.C_PAR, eta).is_unitary(1e-12)
 
 
+def table_from_state(state) -> np.ndarray:
+    """6x6 class table summed ket by ket from a sparse state.
+
+    The reference that ``detection.joint_table`` is checked against.
+    """
+    probs = np.zeros((6, 6))
+    for occ, amp in state.items():
+        i, j = detection.classify(occ)
+        probs[i - 1, j - 1] += abs(amp) ** 2
+    return probs
+
+
 def check_pipeline_norm():
+    # each sparse state is also the reference for the dense table route
     rng = _rng()
     for _ in range(20):
         t1, t2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
@@ -55,6 +68,8 @@ def check_pipeline_norm():
             optics.ExperimentConfig(t1, t2, eta, include_loss=True)
         )
         assert abs(fock.norm(state) - 1.0) < 1e-12
+        table = detection.joint_table(t1, t2, eta)
+        assert np.max(np.abs(table.probs - table_from_state(state))) < 1e-12
 
 
 def check_analyzer_order_independence():
@@ -256,8 +271,11 @@ def _chsh_batch(x, model):
     return model.eta**2 * s1 + 2.0 * (1.0 - model.eta) ** 2
 
 
-#: random settings drawn per chunk, so memory stays a few MB at any n
-_SEARCH_CHUNK = 1 << 16
+#: random settings drawn per chunk, so memory stays well under 1 MiB at any n
+_SEARCH_CHUNK = 1 << 12
+
+#: random settings searched per alpha by ``validate``
+_SEARCH_POINTS = 1 << 16
 
 
 def random_search_chsh(model, n, rng) -> float:
@@ -282,7 +300,7 @@ def check_random_search_never_beats_closed_form():
     for alpha in (0.0, 0.5, 1.0):
         model = detection.DetectorModel(alpha=alpha)
         best = optimize.maximize_chsh(model).best_value
-        found = random_search_chsh(model, _SEARCH_CHUNK, rng)
+        found = random_search_chsh(model, _SEARCH_POINTS, rng)
         assert found <= best + 1e-12, (alpha, found, best)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biphoton import detection, optics
 from biphoton.detection import (
     DEFAULT_ASSIGNMENT,
     DetectorModel,
@@ -20,6 +21,8 @@ from biphoton.detection import (
     joint_table,
 )
 from biphoton.fock import C_PAR, C_PERP, C_X, D_PAR, D_PERP, ModeId, OccupationVector
+from biphoton.optics import NETWORK_MODES, ExperimentConfig, build_experiment_state
+from biphoton.selftest import table_from_state
 
 
 def test_classify_examples():
@@ -102,6 +105,61 @@ def test_ideal_table_matches_formulas_on_grid():
             ref = closed_form_ideal_table(t1, t2)
             assert np.max(np.abs(table.probs - ref)) < 1e-12
             assert abs(table.total - 1.0) < 1e-12
+
+
+#: (theta1, theta2) for the dense-against-sparse table comparison
+ORACLE_ANGLES = (
+    (0.31, 1.17),
+    (-0.8, -2.9),
+    (9.5, -13.0),
+    (math.pi / 4.0, 0.6),
+    *np.random.default_rng(5).uniform(-4.0 * math.pi, 4.0 * math.pi, (6, 2)),
+)
+
+#: cells some pair of photons can reach; classify rules out the rest
+REACHABLE_CELLS = {
+    classify(OccupationVector.of(m, n)) for m in NETWORK_MODES for n in NETWORK_MODES
+}
+
+
+@pytest.mark.parametrize("eta", (1.0, 0.999, 0.5, 1e-3))
+@pytest.mark.parametrize("theta1, theta2", ORACLE_ANGLES)
+def test_table_matches_sparse_state_route(theta1, theta2, eta):
+    table = joint_table(theta1, theta2, eta)
+    state = build_experiment_state(
+        ExperimentConfig(theta1, theta2, eta, include_loss=eta < 1.0)
+    )
+    # at theta1 = pi/4 the sparse route prunes ~1e-32 cells to 0, so the
+    # routes agree to the tolerance, not bit for bit
+    assert np.max(np.abs(table.probs - table_from_state(state))) < 1e-12
+    for i in range(1, 7):
+        for j in range(1, 7):
+            if (i, j) not in REACHABLE_CELLS:
+                assert table.p(i, j) == 0.0
+
+
+def test_table_does_not_run_the_sparse_algebra(monkeypatch):
+    def sparse(*args):
+        raise AssertionError("joint_table ran the sparse Fock pipeline")
+
+    monkeypatch.setattr(optics, "apply", sparse)
+    monkeypatch.setattr(optics, "build_experiment_state", sparse)
+    table = joint_table(0.31, 1.17, 0.8)
+    ref = closed_form_lossy_table(0.31, 1.17, 0.8)
+    assert np.max(np.abs(table.probs - ref)) < 1e-12
+
+
+def test_table_keeps_its_guards(monkeypatch):
+    for eta in (0.0, -0.5, 1.5, math.nan):
+        with pytest.raises(ValueError):
+            joint_table(0.3, 0.2, eta)
+    with pytest.raises(ValueError):
+        joint_table(math.nan, 0.2)
+    monkeypatch.setattr(
+        detection, "network_matrix", lambda cfg: 1.1 * optics.network_matrix(cfg)
+    )
+    with pytest.raises(RuntimeError, match="norm"):
+        joint_table(0.3, 0.2, 0.9)
 
 
 def test_lossy_table_one_sided_singles():

@@ -134,6 +134,19 @@ def test_csv_export_memory_is_bounded_by_the_write_chunk(tmp_path):
     assert peak < 4 * 2**20
 
 
+def test_draw_memory_is_the_columns_plus_one_chunk():
+    # the five uint8 columns of 2.8e5 events hold 1.34 MiB; per-chunk
+    # lists joined at the end would hold every column twice
+    tracemalloc.start()
+    try:
+        batch = sample_events(CSV_PINS["above_chunk"][0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(batch) == 280_000
+    assert peak < 2.75 * 2**20
+
+
 def test_raw_stream_does_not_depend_on_alpha():
     ideal = sample_events(small_cfg(alpha=1.0))
     noisy = sample_events(small_cfg(alpha=0.3))

@@ -30,6 +30,7 @@ from biphoton.optics import (
     beamsplitter_5050,
     build_experiment_state,
     loss_channel,
+    network_matrix,
     polarizer_rotation,
 )
 
@@ -196,3 +197,12 @@ def test_config_validates_eta():
         ExperimentConfig(0.0, 0.0, eta=0.0)
     with pytest.raises(ValueError):
         ExperimentConfig(0.0, 0.0, eta=1.5)
+
+
+@pytest.mark.parametrize("eta, include_loss", ((1.0, False), (0.7, False), (0.7, True)))
+def test_network_matrix_is_an_isometry(eta, include_loss):
+    u = network_matrix(ExperimentConfig(0.4, -1.3, eta, include_loss))
+    assert u.shape == (2, 8)
+    assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-12
+    # columns 4..7 are the loss twins, empty unless loss is applied
+    assert np.any(u[:, 4:] != 0) == include_loss

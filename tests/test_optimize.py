@@ -2,6 +2,7 @@ import dataclasses
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from biphoton.optimize import (
     critical_efficiency,
     maximize_chsh,
 )
-from biphoton.selftest import random_search_chsh
+from biphoton.selftest import check_random_search_never_beats_closed_form, random_search_chsh
 
 EXACT_THRESHOLD_IDEAL = 4.0 / (3.0 + math.sqrt(2.0))
 
@@ -80,6 +81,16 @@ def test_random_search_never_beats_the_closed_form(alpha):
     best = maximize_chsh(model).best_value
     found = random_search_chsh(model, 10**6, np.random.default_rng(int(alpha * 100)))
     assert found <= best + 1e-12
+
+
+def test_random_search_memory_is_bounded_by_the_chunk():
+    tracemalloc.start()
+    try:
+        check_random_search_never_beats_closed_form()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("alpha", (0.0, 0.25, 0.5, 0.75, 1.0))
