@@ -134,6 +134,40 @@ def test_hom_scan_csv(capsys):
     assert len(lines) == 4
 
 
+#: sha256 of stdout per argv; each is printed in JSON and in CSV
+OUTPUT_PINS = (
+    (["probs", "0.3", "1.1"],
+     "5289ef38acf8dca8d3a27eb8b9909cfeacd67056f5ad6da9e2e943a335539029",
+     "2d35470f21d42c38ef08971819169faa838bd58694bdc9be63956383a731bfaa"),
+    (["probs", "0.3", "1.1", "--eta", "0.8"],
+     "8fcaf13dae4320ef47a64abca10c9fd802bef6afff711925d79f65ad803557b2",
+     "32f5fa4af0e86f3682d3bd2df9ec0fed42bc0759c518d9e9b62197fac6878429"),
+    (["probs", "0.3", "1.1", "--eta", "0.8", "--alpha", "0"],
+     "99732d4d4e27da2e7993d9e96f3fc5520c79205ffabd1cb6c90515241276a575",
+     "6e0ebde918a1f90c731a963337d0ee282f9c38c46686cb8e79be0a0bee72cb79"),
+    (["probs", "0.7853981633974483", "0.6"],
+     "fbd85bb21eeed6bc19ec6341ad851490bfcf546632e6d35cfc29ff29e051e7f3",
+     "eaa062cc5a3b01595fda2f2cf1398cd7dca69cdb4439f48200ca65e615892b34"),
+    (["probs", "9.5", "-13", "--eta", "0.9", "--alpha", "0.4"],
+     "59ee32dd44f76fa3e6a95d5a57df6053f03df0a281f7b5a4a459d60cf7311b32",
+     "2eaaa995fbb6f5dbcd19116d480b51bf85b7c81bcced747a4b59be28199fa2e3"),
+    (["hom-scan"],
+     "9382bf91a785009c9e8eac554c9e5f7af52589ec1284742457880aa5481734ae",
+     "b905e6bf00604eac2bc97b28bee7d0c5e7d9d883daf44f6803963489b5259d22"),
+    (["hom-scan", "--points", "9", "--theta2", "0.3", "--start=-1", "--stop", "7"],
+     "0fe8e83fc201b1685b4e4c2c25331aabf260540f505e609673a9d86a9e572ee0",
+     "dfeb830abdc738a087012bf8ec283dd4df34a94b0a087140e60e890eb3b703bc"),
+)
+
+
+@pytest.mark.parametrize("fmt", ("json", "csv"))
+@pytest.mark.parametrize("argv, json_sha, csv_sha", OUTPUT_PINS)
+def test_table_outputs_are_pinned(argv, json_sha, csv_sha, fmt, capsys):
+    assert main(argv + ["--format", fmt]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (json_sha if fmt == "json" else csv_sha)
+
+
 def test_sample_writes_deterministic_csv(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
