@@ -20,7 +20,6 @@ from .detection import (
     StationOutcome,
     ValueAssignment,
     apply_alpha_confusion,
-    assigned_value,
     classify,
     closed_form_ideal_table,
     closed_form_lossy_table,

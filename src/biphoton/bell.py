@@ -27,6 +27,7 @@ from .detection import (
     JointProbabilityTable,
     ValueAssignment,
     apply_alpha_confusion,
+    closed_form_ideal_table,
     joint_table,
 )
 
@@ -40,9 +41,10 @@ _TWO_PI = 2.0 * math.pi
 class PsiAngles:
     """One correlation setting in the psi frame.
 
-    The analyzer angles are theta1 = psi1 / 2 and theta2 = -psi2 / 2;
-    both conversions halve or double and negate, so the round trip is
-    exact in floating point.
+    The analyzer angles are theta1 = psi1 / 2 and theta2 = -psi2 / 2.
+    theta -> psi -> theta is exact in floating point while 2 theta is
+    finite; psi -> theta -> psi is exact for psi = 0 or |psi| >= 2^-1021,
+    below which the half is subnormal and can lose its lowest bit.
     """
 
     psi1: float
@@ -179,14 +181,7 @@ class HomPortProbabilities:
 
 
 def hom_port_probabilities(theta1: float, theta2: float) -> HomPortProbabilities:
-    """Single-station pair statistics at unit efficiency."""
-    s1 = 0.125 * math.sin(2.0 * theta1) ** 2
-    s2 = 0.125 * math.sin(2.0 * theta2) ** 2
-    return HomPortProbabilities(
-        station1_split=0.25 * math.cos(2.0 * theta1) ** 2,
-        station1_double_plus=s1,
-        station1_double_minus=s1,
-        station2_split=0.25 * math.cos(2.0 * theta2) ** 2,
-        station2_double_plus=s2,
-        station2_double_minus=s2,
-    )
+    """Single-station pair statistics at unit efficiency: the cells (4,3),
+    (5,3), (6,3), (3,4), (3,5), (3,6) of ``closed_form_ideal_table``."""
+    p = closed_form_ideal_table(theta1, theta2)
+    return HomPortProbabilities(*p[3:, 2].tolist(), *p[2, 3:].tolist())

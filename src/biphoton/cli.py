@@ -25,7 +25,6 @@ from .detection import (
     DetectorModel,
     JointProbabilityTable,
     apply_alpha_confusion,
-    closed_form_ideal_table,
     closed_form_lossy_table,
     joint_table,
 )
@@ -68,6 +67,14 @@ def _angle(value: float, degrees: bool) -> float:
     return math.radians(value) if degrees else value
 
 
+def _doublable(**angles: float) -> None:
+    """Reject angles whose double overflows: the closed forms take the sine
+    of 2 theta or of psi1 + psi2, and an infinite argument has none."""
+    for name, value in angles.items():
+        if not math.isfinite(2.0 * value):
+            raise ValueError(f"{name} = {value!r} is too large: twice it overflows")
+
+
 def _finite(text: str) -> float:
     """argparse type of every float argument: NaN and infinities exit 2."""
     try:
@@ -92,19 +99,13 @@ def cmd_probs(args) -> int:
     model = DetectorModel(alpha=args.alpha, eta=args.eta)
     theta1 = _angle(args.theta1, args.degrees)
     theta2 = _angle(args.theta2, args.degrees)
+    _doublable(theta1=theta1, theta2=theta2)
     table = apply_alpha_confusion(joint_table(theta1, theta2, model.eta), model.alpha)
-    if model.eta == 1.0:
-        formula = closed_form_ideal_table(theta1, theta2)
-    else:
-        formula = closed_form_lossy_table(theta1, theta2, model.eta)
+    formula = closed_form_lossy_table(theta1, theta2, model.eta)
     formula_table = apply_alpha_confusion(
         JointProbabilityTable(formula, theta1, theta2, model.eta, 1.0), model.alpha
     )
     records = table.records()
-    formula_records = formula_table.records()
-    max_dev = max(
-        abs(r["p"] - f["p"]) for r, f in zip(records, formula_records)
-    )
     params = {
         "theta1": theta1,
         "theta2": theta2,
@@ -120,12 +121,12 @@ def cmd_probs(args) -> int:
                 f"{r['eta']:.9g},{r['alpha']:.9g},{r['p']:.9g}"
             )
         return 0
-    for r, f in zip(records, formula_records):
+    for r, f in zip(records, formula_table.records()):
         r["p_formula"] = f["p"]
     _emit("probs", params, {
         "records": records,
         "total": table.total,
-        "max_formula_deviation": max_dev,
+        "max_formula_deviation": float(abs(table.probs - formula_table.probs).max()),
     })
     return 0
 
@@ -133,6 +134,7 @@ def cmd_probs(args) -> int:
 def cmd_correlation(args) -> int:
     model = DetectorModel(alpha=args.alpha, eta=args.eta)
     psi = PsiAngles(_angle(args.psi1, args.degrees), _angle(args.psi2, args.degrees))
+    _doublable(psi1=psi.psi1, psi2=psi.psi2)
     closed = correlation_closed_form(psi, model)
     tabled = correlation_via_table(psi, model)
     _emit(
@@ -159,6 +161,7 @@ def _parse_settings(args, degrees: bool) -> ChshSettings:
 def cmd_chsh(args) -> int:
     model = DetectorModel(alpha=args.alpha, eta=args.eta)
     settings = _parse_settings(args, args.degrees)
+    _doublable(**_settings_dict(settings))
     closed = chsh(settings, model)
     tabled = chsh(settings, model, method="table")
     _emit(
@@ -222,9 +225,11 @@ def cmd_hom_scan(args) -> int:
     if not math.isfinite(step):
         raise ValueError(f"hom-scan range from {start!r} to {stop!r} is too wide: "
                          "the step between points overflows")
+    _doublable(theta2=theta2)
     rows = []
     for k in range(args.points):
         theta1 = start + k * step
+        _doublable(theta1=theta1)
         probs = hom_port_probabilities(theta1, theta2)
         rows.append(dict({"theta1": theta1, "theta2": theta2}, **probs.as_dict()))
     params = {

@@ -30,7 +30,7 @@ from .fock import (
     D_PERP,
     OccupationVector,
 )
-from .optics import NETWORK_MODES, ExperimentConfig, network_matrix
+from .optics import NETWORK_MODES, ExperimentConfig, check_eta, network_matrix
 
 
 class ImpossibleCountError(ValueError):
@@ -57,8 +57,11 @@ _CLASS_BY_COUNTS = {
     (0, 2): StationOutcome.DOUBLE_MINUS,
 }
 
-_PLUS_MODE = {1: C_PAR, 2: D_PAR}
-_MINUS_MODE = {1: C_PERP, 2: D_PERP}
+
+def check_alpha(alpha: float) -> None:
+    """Reject a recognition probability alpha outside [0, 1], NaN included."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -74,10 +77,8 @@ class DetectorModel:
     eta: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"efficiency must lie in (0, 1], got {self.eta!r}")
+        check_alpha(self.alpha)
+        check_eta(self.eta)
 
 
 def classify(occ: OccupationVector) -> tuple:
@@ -125,17 +126,16 @@ class ValueAssignment:
                 raise ValueError("values must be six entries of +/-1")
 
     def value(self, outcome: int, station: int) -> int:
+        """The value of outcome class 1..6 at station 1 or 2."""
+        if station not in (1, 2):
+            raise ValueError(f"station must be 1 or 2, got {station!r}")
+        if outcome not in range(1, 7):
+            raise ValueError(f"outcome must be a class 1..6, got {outcome!r}")
         side = self.a if station == 1 else self.b
         return side[int(outcome) - 1]
 
 
 DEFAULT_ASSIGNMENT = ValueAssignment()
-
-
-def assigned_value(values: ValueAssignment, outcome: int, station: int) -> int:
-    if station not in (1, 2):
-        raise ValueError(f"station must be 1 or 2, got {station!r}")
-    return values.value(outcome, station)
 
 
 @dataclass(frozen=True)
@@ -208,8 +208,7 @@ def joint_table(theta1: float, theta2: float, eta: float = 1.0) -> JointProbabil
     an independent cross-check.  The table carries alpha = 1 (recognition
     errors are applied later).
     """
-    cfg = ExperimentConfig(theta1, theta2, eta, include_loss=eta < 1.0)
-    u0, u1 = network_matrix(cfg)
+    u0, u1 = network_matrix(ExperimentConfig(theta1, theta2, eta))
     s = np.outer(u0, u1)
     s += s.T
     pair = 0.5 * (s.real ** 2 + s.imag ** 2)
@@ -227,8 +226,7 @@ def apply_alpha_confusion(table: JointProbabilityTable, alpha: float) -> JointPr
     5 mass to class 2, each with weight 1 - alpha.  Implemented as the
     product channel M p M^T, which preserves total mass.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
+    check_alpha(alpha)
     if table.alpha != 1.0:
         raise ValueError("confusion must start from an alpha = 1 table")
     m = np.eye(6)
@@ -267,8 +265,7 @@ def closed_form_lossy_table(theta1: float, theta2: float, eta: float) -> np.ndar
     given station with probability 1/2 in every relevant ket.  The
     double no-click cell is (1 - eta)^2.
     """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"efficiency must lie in (0, 1], got {eta!r}")
+    check_eta(eta)
     p = eta * eta * closed_form_ideal_table(theta1, theta2)
     half = 0.5 * eta * (1.0 - eta)
     p[0, 2] += half

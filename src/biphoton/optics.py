@@ -19,13 +19,14 @@ followed by one polarization analyzer per station,
     x^dag -> cos(theta) par^dag + sin(theta) perp^dag
     y^dag -> sin(theta) par^dag - cos(theta) perp^dag,
 
-and, optionally, one loss channel per detected mode,
+and, when eta < 1, one loss channel per detected mode,
 
     t^dag -> sqrt(1 - eta) r^dag + sqrt(eta) t^dag.
 
-``build_experiment_state`` runs the pipeline on the sparse Fock state;
-``network_matrix`` composes the same elements into one 2 x 8 matrix
-taking the two source modes to the detected modes and their loss twins.
+``ExperimentConfig.elements`` lists these elements once.
+``build_experiment_state`` runs them on the sparse Fock state;
+``network_matrix`` composes them into one 2 x 8 matrix taking the two
+source modes to the detected modes and their loss twins.
 """
 
 import math
@@ -63,6 +64,12 @@ NETWORK_MODES = DETECTED_MODES + tuple(
 
 class UnknownModeError(ValueError):
     """Raised when a pass-through mode collides with a transform output."""
+
+
+def check_eta(eta: float) -> None:
+    """Reject a detector efficiency outside (0, 1], NaN included."""
+    if not 0.0 < eta <= 1.0:
+        raise ValueError(f"efficiency must lie in (0, 1], got {eta!r}")
 
 
 @dataclass(frozen=True)
@@ -121,18 +128,16 @@ def polarizer_rotation(station: int, theta: float) -> ModeTransform:
     return ModeTransform(inputs, outputs, u)
 
 
-def loss_channel(mode: ModeId, eta: float, ancilla: ModeId = None) -> ModeTransform:
+def loss_channel(mode: ModeId, eta: float) -> ModeTransform:
     """Detector loss on ``mode`` with transmission probability ``eta``.
 
-    The reflected photon lands in the ancilla (default: the lost twin of
-    ``mode``), so the map stays an isometry and the state stays pure.
+    The reflected photon lands in the lost twin of ``mode``, so the map
+    stays an isometry and the state stays pure.
     """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"efficiency must lie in (0, 1], got {eta!r}")
-    if ancilla is None:
-        ancilla = ModeId(mode.beam, mode.channel, lost=True)
+    check_eta(eta)
     u = np.array([[math.sqrt(1.0 - eta), math.sqrt(eta)]], dtype=complex)
-    return ModeTransform((mode,), (ancilla, mode), u)
+    lost = ModeId(mode.beam, mode.channel, lost=True)
+    return ModeTransform((mode,), (lost, mode), u)
 
 
 def apply(transform: ModeTransform, state: FockState) -> FockState:
@@ -183,34 +188,38 @@ def apply(transform: ModeTransform, state: FockState) -> FockState:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Analyzer angles (radians), detector efficiency, loss flag."""
+    """Analyzer angles (radians) and detector efficiency."""
 
     theta1: float
     theta2: float
     eta: float = 1.0
-    include_loss: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"efficiency must lie in (0, 1], got {self.eta!r}")
+        check_eta(self.eta)
+
+    def elements(self) -> list:
+        """Beamsplitter, both analyzers and, when eta < 1, a loss channel
+        per detected mode: the pipeline in order, walked by both routes."""
+        elements = [
+            beamsplitter_5050(),
+            polarizer_rotation(1, self.theta1),
+            polarizer_rotation(2, self.theta2),
+        ]
+        if self.eta < 1.0:
+            elements += [loss_channel(m, self.eta) for m in DETECTED_MODES]
+        return elements
 
 
 def build_experiment_state(cfg: ExperimentConfig) -> FockState:
-    """Run one photon pair through the full pipeline.
+    """Run one photon pair through ``cfg.elements()`` on the sparse Fock state.
 
-    Source term a1x^dag a2y^dag |0>, then the beamsplitter, then both
-    analyzers, then (when ``include_loss`` is set) a loss channel on
-    each detected mode.  The overall phase is fixed by the pipeline
-    itself: the two-station coincidence amplitudes come out real, e.g.
-    the |c par, d par> amplitude is sin(theta1 - theta2) / 2.
+    The source term is a1x^dag a2y^dag |0>.  The overall phase is fixed
+    by the pipeline itself: the two-station coincidence amplitudes come
+    out real, e.g. the |c par, d par> amplitude is sin(theta1 - theta2) / 2.
     """
     state = create(create(vacuum(), A1X), A2Y)
-    state = apply(beamsplitter_5050(), state)
-    state = apply(polarizer_rotation(1, cfg.theta1), state)
-    state = apply(polarizer_rotation(2, cfg.theta2), state)
-    if cfg.include_loss:
-        for mode in DETECTED_MODES:
-            state = apply(loss_channel(mode, cfg.eta), state)
+    for t in cfg.elements():
+        state = apply(t, state)
     return state
 
 
@@ -218,20 +227,13 @@ def network_matrix(cfg: ExperimentConfig) -> np.ndarray:
     """The pipeline of ``build_experiment_state`` as one 2 x 8 isometry.
 
     Row 0 is the image of a1x^dag and row 1 that of a2y^dag, over the
-    columns NETWORK_MODES.  It is the product of the same element
-    matrices, so every element still passes its isometry check.  Without
-    ``include_loss`` the loss-twin columns are zero.
+    columns NETWORK_MODES.  It is the product of the matrices of
+    ``cfg.elements()``, so every element still passes its isometry check.
+    At eta = 1 the loss-twin columns are zero.
     """
     # mode -> its column so far: the amplitudes from a1x and from a2y
     columns = {A1X: np.array([1.0 + 0j, 0j]), A2Y: np.array([0j, 1.0 + 0j])}
-    elements = [
-        beamsplitter_5050(),
-        polarizer_rotation(1, cfg.theta1),
-        polarizer_rotation(2, cfg.theta2),
-    ]
-    if cfg.include_loss:
-        elements += [loss_channel(mode, cfg.eta) for mode in DETECTED_MODES]
-    for t in elements:
+    for t in cfg.elements():
         images = np.array([columns.pop(m) for m in t.input_modes]).T @ t.matrix
         columns.update(zip(t.output_modes, images.T))
     zero = np.zeros(2, dtype=complex)

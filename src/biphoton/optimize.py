@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 
 from .bell import ChshSettings, chsh
-from .detection import DetectorModel
+from .detection import DetectorModel, check_alpha
 
 
 @dataclass(frozen=True)
@@ -104,8 +104,7 @@ def critical_efficiency(alpha: float, tol: float = 1e-4) -> ThresholdResult:
     low end and above 2 at its high end.  ``bracket_width`` is its
     width, at most ``tol``.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
+    check_alpha(alpha)
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     top = maximize_chsh(DetectorModel(alpha, 1.0))

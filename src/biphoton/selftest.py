@@ -65,7 +65,7 @@ def check_pipeline_norm():
         t1, t2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
         eta = rng.uniform(0.05, 1.0)
         state = optics.build_experiment_state(
-            optics.ExperimentConfig(t1, t2, eta, include_loss=True)
+            optics.ExperimentConfig(t1, t2, eta)
         )
         assert abs(fock.norm(state) - 1.0) < 1e-12
         table = detection.joint_table(t1, t2, eta)

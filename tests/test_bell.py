@@ -19,6 +19,7 @@ from biphoton.bell import (
 from biphoton.detection import (
     DetectorModel,
     ValueAssignment,
+    closed_form_ideal_table,
     joint_table,
 )
 
@@ -27,13 +28,31 @@ ALPHA0_SETTINGS = ChshSettings(2.93798, 4.25513, -0.20241, 1.11708)
 
 angles = st.floats(-8.0, 8.0, allow_nan=False, allow_subnormal=False)
 
+#: psi whose half is zero or a normal float: 0 or |psi| >= 2^-1021
+halvable = st.one_of(
+    st.just(0.0),
+    st.floats(2.0**-1021, 8.0),
+    st.floats(-8.0, -(2.0**-1021)),
+)
 
-@given(psi1=angles, psi2=angles)
+
+@given(psi1=halvable, psi2=halvable)
 @settings(max_examples=100)
 def test_psi_theta_round_trip_is_exact(psi1, psi2):
-    # halving is exact for normal floats, so the round trip loses nothing
+    # halving into the normal range is exact, so the round trip loses nothing
     psi = PsiAngles(psi1, psi2)
     assert PsiAngles.from_thetas(*psi.to_thetas()) == psi
+
+
+def test_theta_psi_theta_round_trip_is_exact():
+    # doubling is exact for every finite theta whose double is finite,
+    # subnormal theta included
+    for theta in (0.0, 5e-324, 3.541167374036344e-308, 0.3, -2.7, 8.9e307):
+        assert PsiAngles.from_thetas(theta, -theta).to_thetas() == (theta, -theta)
+    # the other way a psi below 2^-1021 halves to a subnormal and drops
+    # its lowest bit, which bounds the strategy of the psi round trip
+    psi = PsiAngles(0.0, 3.541167374036344e-308)
+    assert PsiAngles.from_thetas(*psi.to_thetas()) != psi
 
 
 def test_theta_convention():
@@ -135,6 +154,19 @@ def test_hom_ports_total_is_half():
     for _ in range(20):
         t1, t2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
         assert abs(hom_port_probabilities(t1, t2).total - 0.5) < 1e-12
+
+
+def test_hom_ports_are_the_closed_form_cells():
+    rng = np.random.default_rng(13)
+    for t1, t2 in (*rng.uniform(-20.0, 20.0, (50, 2)), (math.pi / 4.0, 0.0)):
+        got = hom_port_probabilities(t1, t2).as_dict()
+        p = closed_form_ideal_table(t1, t2)
+        cells = {"p_4_3": p[3, 2], "p_5_3": p[4, 2], "p_6_3": p[5, 2],
+                 "p_3_4": p[2, 3], "p_3_5": p[2, 4], "p_3_6": p[2, 5]}
+        # bit for bit, sign of zero included
+        assert {k: v.hex() for k, v in got.items()} == {
+            k: float(v).hex() for k, v in cells.items()
+        }
 
 
 def test_hom_ports_match_table_route():

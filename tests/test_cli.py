@@ -1,11 +1,15 @@
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import os
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biphoton.cli import main
 
@@ -237,6 +241,82 @@ def test_hom_scan_overflowing_range_exits_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "range from -1e+308 to 1e+308" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, angle",
+    [
+        (["probs", "1e308", "0.1"], "theta1"),
+        (["correlation", "1e308", "1e308"], "psi1"),
+        (["chsh", "1e308", "0", "1e308", "1"], "psi1"),
+        (["hom-scan", "--theta2", "1e308"], "theta2"),
+        (["hom-scan", "--stop", "1e308", "--points", "3"], "theta1"),
+    ],
+)
+def test_angle_too_large_to_double_exits_2(argv, angle, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {angle} = 1e+308 is too large: twice it overflows\n"
+
+
+#: subcommand -> (float positionals, float options, fixed arguments); every
+#: subcommand but validate, whose arguments are all floats
+FLOAT_ARGUMENTS = {
+    "probs": (2, ("eta", "alpha"), ()),
+    "correlation": (2, ("eta", "alpha"), ()),
+    "chsh": (4, ("eta", "alpha"), ()),
+    "optimize": (0, ("eta", "alpha"), ()),
+    "critical-eta": (0, ("alpha", "tol"), ()),
+    "hom-scan": (0, ("start", "stop", "theta2"), ("--points=3",)),
+    "sample": (4, ("eta", "alpha"), ("--n=2", f"--out={os.devnull}")),
+}
+
+#: any float, NaN and infinities included; often one in [0, 1], so that
+#: most commands also reach their results, or one too large to double
+any_float = st.one_of(
+    st.floats(),
+    st.floats(0.0, 1.0),
+    st.floats(min_value=8e307),
+    st.floats(max_value=-8e307),
+)
+
+
+@st.composite
+def float_argv(draw):
+    command = draw(st.sampled_from(sorted(FLOAT_ARGUMENTS)))
+    positionals, options, fixed = FLOAT_ARGUMENTS[command]
+    argv = [command, *fixed]
+    for name in options:
+        value = draw(st.none() | any_float)  # None keeps the default
+        if value is not None:
+            argv.append(f"--{name}={value!r}")
+    if command not in ("optimize", "critical-eta") and draw(st.booleans()):
+        argv.append("--degrees")
+    if positionals:
+        # after "--", argparse takes "-1e-3" as a value rather than an option
+        argv += ["--", *(repr(draw(any_float)) for _ in range(positionals))]
+    return argv
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@given(argv=float_argv())
+@settings(max_examples=300, deadline=None)
+def test_any_float_exits_0_or_2_with_strict_json(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert "math domain error" not in out.getvalue() + err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_no_constant)
 
 
 def test_usage_error_exits_2():

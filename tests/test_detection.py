@@ -14,7 +14,6 @@ from biphoton.detection import (
     StationOutcome,
     ValueAssignment,
     apply_alpha_confusion,
-    assigned_value,
     classify,
     closed_form_ideal_table,
     closed_form_lossy_table,
@@ -69,8 +68,9 @@ def test_default_value_assignment():
     assert DEFAULT_ASSIGNMENT.value(1, 1) == -1
     assert DEFAULT_ASSIGNMENT.value(1, 2) == -1
     for outcome in range(2, 7):
-        assert assigned_value(DEFAULT_ASSIGNMENT, outcome, 1) == 1
-        assert assigned_value(DEFAULT_ASSIGNMENT, outcome, 2) == 1
+        assert DEFAULT_ASSIGNMENT.value(outcome, 1) == 1
+        assert DEFAULT_ASSIGNMENT.value(outcome, 2) == 1
+    assert DEFAULT_ASSIGNMENT.value(StationOutcome.DOUBLE_MINUS, 2) == 1
 
 
 def test_value_assignment_validation():
@@ -78,8 +78,12 @@ def test_value_assignment_validation():
         ValueAssignment(a=(1, 1, 1), b=(-1, 1, 1, 1, 1, 1))
     with pytest.raises(ValueError):
         ValueAssignment(a=(0, 1, 1, 1, 1, 1), b=(-1, 1, 1, 1, 1, 1))
-    with pytest.raises(ValueError):
-        assigned_value(DEFAULT_ASSIGNMENT, 1, 3)
+
+    values = ValueAssignment(a=(-1, 1, 1, 1, 1, -1), b=(1, 1, 1, 1, 1, 1))
+    # neither wraps around to class 6 nor falls through to station 2
+    for outcome, station in ((1, 3), (1, 0), (0, 1), (7, 1), (7, 2), (-1, 1)):
+        with pytest.raises(ValueError):
+            values.value(outcome, station)
 
 
 def test_detector_model_validation():
@@ -126,9 +130,7 @@ REACHABLE_CELLS = {
 @pytest.mark.parametrize("theta1, theta2", ORACLE_ANGLES)
 def test_table_matches_sparse_state_route(theta1, theta2, eta):
     table = joint_table(theta1, theta2, eta)
-    state = build_experiment_state(
-        ExperimentConfig(theta1, theta2, eta, include_loss=eta < 1.0)
-    )
+    state = build_experiment_state(ExperimentConfig(theta1, theta2, eta))
     # at theta1 = pi/4 the sparse route prunes ~1e-32 cells to 0, so the
     # routes agree to the tolerance, not bit for bit
     assert np.max(np.abs(table.probs - table_from_state(state))) < 1e-12
@@ -180,6 +182,14 @@ def test_lossy_table_matches_formulas():
         table = joint_table(t1, t2, eta)
         ref = closed_form_lossy_table(t1, t2, eta)
         assert np.max(np.abs(table.probs - ref)) < 1e-12
+
+
+def test_lossy_closed_form_at_unit_efficiency_is_the_ideal_one():
+    # bit for bit, sign bits included, so `probs` needs one formula route
+    rng = np.random.default_rng(17)
+    for t1, t2 in rng.uniform(-50.0, 50.0, (2000, 2)):
+        lossy = closed_form_lossy_table(t1, t2, 1.0)
+        assert lossy.tobytes() == closed_form_ideal_table(t1, t2).tobytes()
 
 
 def test_lossy_table_detected_sector_scales_with_eta_squared():

@@ -10,6 +10,7 @@ from biphoton.fock import (
     C_PERP,
     C_X,
     C_Y,
+    DETECTED_MODES,
     D_PAR,
     D_PERP,
     D_X,
@@ -184,11 +185,20 @@ def test_experiment_state_spot_amplitudes():
 
 
 def test_experiment_state_with_loss_keeps_norm():
-    state = build_experiment_state(ExperimentConfig(0.9, 2.2, 0.35, include_loss=True))
+    # eta < 1 alone switches the loss channels on
+    state = build_experiment_state(ExperimentConfig(0.9, 2.2, 0.35))
     assert abs(norm(state) - 1.0) < 1e-12
-    # at eta = 1 the loss channels are inert and ancillas stay empty
-    same = build_experiment_state(ExperimentConfig(0.9, 2.2, 1.0, include_loss=True))
+    assert any(m.lost for occ in state.terms for m, _ in occ.pairs)
+    assert len(ExperimentConfig(0.9, 2.2, 0.35).elements()) == 7
+    assert len(ExperimentConfig(0.9, 2.2).elements()) == 3
+
+
+def test_loss_channel_is_inert_at_unit_efficiency():
+    # the eta = 1 channel, never in the pipeline, would leave ancillas empty
     bare = build_experiment_state(ExperimentConfig(0.9, 2.2))
+    same = bare
+    for mode in DETECTED_MODES:
+        same = apply(loss_channel(mode, 1.0), same)
     assert states_allclose(same, bare, 1e-12)
 
 
@@ -199,10 +209,11 @@ def test_config_validates_eta():
         ExperimentConfig(0.0, 0.0, eta=1.5)
 
 
-@pytest.mark.parametrize("eta, include_loss", ((1.0, False), (0.7, False), (0.7, True)))
-def test_network_matrix_is_an_isometry(eta, include_loss):
-    u = network_matrix(ExperimentConfig(0.4, -1.3, eta, include_loss))
+@pytest.mark.parametrize("eta", (1.0, 0.7, 0.5))
+def test_network_matrix_is_an_isometry(eta):
+    u = network_matrix(ExperimentConfig(0.4, -1.3, eta))
     assert u.shape == (2, 8)
     assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-12
-    # columns 4..7 are the loss twins, empty unless loss is applied
-    assert np.any(u[:, 4:] != 0) == include_loss
+    # columns 4..7 are the loss twins, empty exactly when eta = 1
+    assert np.all(u[:, 4:] != 0) == (eta < 1.0)
+    assert np.all(u[:, 4:] == 0) == (eta == 1.0)
