@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 
 from .bell import ChshSettings, chsh
-from .detection import DetectorModel, check_alpha
+from .detection import DetectorModel
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,6 @@ def critical_efficiency(alpha: float, tol: float = 1e-4) -> ThresholdResult:
     low end and above 2 at its high end.  ``bracket_width`` is its
     width, at most ``tol``.
     """
-    check_alpha(alpha)
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     top = maximize_chsh(DetectorModel(alpha, 1.0))

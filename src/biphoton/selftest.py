@@ -64,9 +64,7 @@ def check_pipeline_norm():
     for _ in range(20):
         t1, t2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
         eta = rng.uniform(0.05, 1.0)
-        state = optics.build_experiment_state(
-            optics.ExperimentConfig(t1, t2, eta)
-        )
+        state = optics.build_experiment_state(optics.ExperimentConfig(t1, t2, eta))
         assert abs(fock.norm(state) - 1.0) < 1e-12
         table = detection.joint_table(t1, t2, eta)
         assert np.max(np.abs(table.probs - table_from_state(state))) < 1e-12

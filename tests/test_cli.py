@@ -260,8 +260,8 @@ def test_angle_too_large_to_double_exits_2(argv, angle, capsys):
     assert captured.err == f"error: {angle} = 1e+308 is too large: twice it overflows\n"
 
 
-#: subcommand -> (float positionals, float options, fixed arguments); every
-#: subcommand but validate, whose arguments are all floats
+#: subcommand -> (float positionals, float options, fixed arguments), for
+#: every subcommand that takes floats (all but validate)
 FLOAT_ARGUMENTS = {
     "probs": (2, ("eta", "alpha"), ()),
     "correlation": (2, ("eta", "alpha"), ()),
