@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -109,6 +110,31 @@ def test_ideal_table_matches_formulas_on_grid():
             ref = closed_form_ideal_table(t1, t2)
             assert np.max(np.abs(table.probs - ref)) < 1e-12
             assert abs(table.total - 1.0) < 1e-12
+
+
+#: sha256 of every ``joint_table(...).probs.tobytes()`` over ``_pinned_grid()``
+TABLE_PIN = "2266cc31a145bf4e183e10fed23882fa0f4e80fabefd5541fc46a927e169d2b3"
+
+
+def _pinned_grid():
+    """600 seeded (theta1, theta2, eta): angles in [-10, 10] (|theta| > 2pi
+    included), 40 rows at theta1 = pi/4, eta = 1 on about half the rows and
+    uniform in [1e-3, 1) on the rest."""
+    rng = np.random.default_rng(20261018)
+    thetas = rng.uniform(-10.0, 10.0, (600, 2))
+    thetas[:40, 0] = math.pi / 4.0
+    etas = np.where(rng.random(600) < 0.5, 1.0, rng.uniform(1e-3, 1.0, 600))
+    return [(float(t1), float(t2), float(e)) for (t1, t2), e in zip(thetas, etas)]
+
+
+def test_table_bytes_are_pinned():
+    grid = _pinned_grid()
+    assert {e == 1.0 for _, _, e in grid} == {True, False}
+    assert max(abs(t) for t1, t2, _ in grid for t in (t1, t2)) > 2.0 * math.pi
+    digest = hashlib.sha256()
+    for theta1, theta2, eta in grid:
+        digest.update(joint_table(theta1, theta2, eta).probs.tobytes())
+    assert digest.hexdigest() == TABLE_PIN
 
 
 #: (theta1, theta2) for the dense-against-sparse table comparison
