@@ -158,6 +158,9 @@ class JointProbabilityTable:
 
     def p(self, i: int, j: int) -> float:
         """Probability of class i at station 1 and class j at station 2."""
+        for outcome in (i, j):
+            if outcome not in range(1, 7):
+                raise ValueError(f"outcome must be a class 1..6, got {outcome!r}")
         return float(self.probs[int(i) - 1, int(j) - 1])
 
     @property

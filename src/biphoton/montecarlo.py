@@ -141,11 +141,20 @@ class EventBatch:
             yield self[i]
 
     def split_by_setting(self) -> dict:
-        """One sub-batch per label, in SETTING_LABELS order."""
-        out = {}
-        for code, label in enumerate(self.labels):
-            out[label] = self[self.setting_codes == code]
-        return out
+        """One sub-batch per label, in SETTING_LABELS order.
+
+        ``sample_events`` lays the settings out in blocks of non-decreasing
+        code, so each group is then a slice view of the batch; any other
+        batch is split by a boolean mask per label, which copies.
+        """
+        codes = self.setting_codes
+        if np.all(codes[:-1] <= codes[1:]):
+            # needles of the codes' own dtype, or searchsorted copies codes
+            needles = np.arange(len(self.labels) + 1, dtype=codes.dtype)
+            bounds = np.searchsorted(codes, needles).tolist()
+            return {label: self[lo:hi] for label, lo, hi
+                    in zip(self.labels, bounds, bounds[1:])}
+        return {label: self[codes == code] for code, label in enumerate(self.labels)}
 
     def to_csv(self, path) -> None:
         """Deterministic CSV export; identical configs give identical bytes.
@@ -220,7 +229,8 @@ def estimate_correlation(events: EventBatch) -> tuple:
     """(mean, standard error) of the product a * b over one setting."""
     if len(events) == 0:
         raise EmptyEventsError("no events")
-    if len(np.unique(events.setting_codes)) > 1:
+    codes = events.setting_codes
+    if codes.min() != codes.max():
         raise MixedSettingsError("events span several settings")
     ab = events.a * events.b
     n = len(ab)

@@ -9,26 +9,36 @@ orthonormal (an isometry), which keeps the state norm fixed; a lossy
 element becomes an isometry by carrying an explicit ancilla mode for the
 undetected photon.
 
-The pipeline models a parametric pair entering a symmetric beamsplitter,
+The pipeline runs in three stages, each one checked ``ModeTransform``
+over every mode the stage before it outputs.  First a symmetric
+beamsplitter merges the parametric pair,
 
     a1x^dag -> (i cx^dag + dx^dag) / sqrt(2)
-    a2y^dag -> (cy^dag + i dy^dag) / sqrt(2),
+    a2y^dag -> (cy^dag + i dy^dag) / sqrt(2).
 
-followed by one polarization analyzer per station,
+Then both polarization analyzers act as one block-diagonal stage, one
+rotation per station,
 
     x^dag -> cos(theta) par^dag + sin(theta) perp^dag
-    y^dag -> sin(theta) par^dag - cos(theta) perp^dag,
+    y^dag -> sin(theta) par^dag - cos(theta) perp^dag.
 
-and, when eta < 1, one loss channel per detected mode,
+Last, when eta < 1, one loss channel per detected mode, again as one
+block-diagonal stage,
 
     t^dag -> sqrt(1 - eta) r^dag + sqrt(eta) t^dag.
 
-``ExperimentConfig.elements`` lists these elements once.
+A block-diagonal stage's Gram matrix is the block-diagonal of its
+blocks' Gram matrices, so its one isometry check holds every analyzer
+and every loss channel to UNITARY_TOLERANCE.  ``polarizer_rotation`` and
+``loss_channel`` build the single elements from the same blocks.
+
+``ExperimentConfig.elements`` lists the stages once.
 ``build_experiment_state`` runs them on the sparse Fock state;
-``network_matrix`` composes them into one 2 x 8 matrix taking the two
+``network_matrix`` multiplies them into one 2 x 8 matrix taking the two
 source modes to the detected modes and their loss twins.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -102,8 +112,13 @@ class ModeTransform:
         )
 
 
+@functools.cache
 def beamsplitter_5050() -> ModeTransform:
-    """Symmetric beamsplitter merging the two source beams."""
+    """Symmetric beamsplitter merging the two source beams.
+
+    It is constant, so it is built and checked once: every call returns
+    the same transform, whose matrix is read-only.
+    """
     s = 1.0 / math.sqrt(2.0)
     u = np.array(
         [
@@ -115,6 +130,17 @@ def beamsplitter_5050() -> ModeTransform:
     return ModeTransform((A1X, A2Y), (C_X, D_X, C_Y, D_Y), u)
 
 
+def _rotation(theta: float) -> np.ndarray:
+    """Analyzer block: rows x, y onto columns par, perp."""
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, s], [s, -c]], dtype=complex)
+
+
+def _loss_row(eta: float) -> np.ndarray:
+    """Loss block [sqrt(1 - eta), sqrt(eta)]: onto the lost twin, then kept."""
+    return np.array([math.sqrt(1.0 - eta), math.sqrt(eta)], dtype=complex)
+
+
 def polarizer_rotation(station: int, theta: float) -> ModeTransform:
     """Two-channel analyzer at ``station`` rotated by ``theta`` radians."""
     if station == 1:
@@ -123,9 +149,7 @@ def polarizer_rotation(station: int, theta: float) -> ModeTransform:
         inputs, outputs = (D_X, D_Y), (D_PAR, D_PERP)
     else:
         raise ValueError(f"station must be 1 or 2, got {station!r}")
-    c, s = math.cos(theta), math.sin(theta)
-    u = np.array([[c, s], [s, -c]], dtype=complex)
-    return ModeTransform(inputs, outputs, u)
+    return ModeTransform(inputs, outputs, _rotation(theta))
 
 
 def loss_channel(mode: ModeId, eta: float) -> ModeTransform:
@@ -135,9 +159,24 @@ def loss_channel(mode: ModeId, eta: float) -> ModeTransform:
     stays an isometry and the state stays pure.
     """
     check_eta(eta)
-    u = np.array([[math.sqrt(1.0 - eta), math.sqrt(eta)]], dtype=complex)
     lost = ModeId(mode.beam, mode.channel, lost=True)
-    return ModeTransform((mode,), (lost, mode), u)
+    return ModeTransform((mode,), (lost, mode), _loss_row(eta)[np.newaxis])
+
+
+def _analyzer_stage(theta1: float, theta2: float) -> ModeTransform:
+    """Both analyzers as one stage, in the beamsplitter's output order."""
+    u = np.zeros((4, 4), dtype=complex)
+    u[0::2, :2] = _rotation(theta1)  # rows C_X, C_Y onto C_PAR, C_PERP
+    u[1::2, 2:] = _rotation(theta2)  # rows D_X, D_Y onto D_PAR, D_PERP
+    return ModeTransform((C_X, D_X, C_Y, D_Y), DETECTED_MODES, u)
+
+
+def _loss_stage(eta: float) -> ModeTransform:
+    """One loss channel per detected mode as one stage onto NETWORK_MODES."""
+    lost, kept = _loss_row(eta)
+    eye = np.eye(len(DETECTED_MODES))
+    return ModeTransform(DETECTED_MODES, NETWORK_MODES,
+                         np.hstack([kept * eye, lost * eye]))
 
 
 def apply(transform: ModeTransform, state: FockState) -> FockState:
@@ -198,16 +237,12 @@ class ExperimentConfig:
         check_eta(self.eta)
 
     def elements(self) -> list:
-        """Beamsplitter, both analyzers and, when eta < 1, a loss channel
-        per detected mode: the pipeline in order, walked by both routes."""
-        elements = [
-            beamsplitter_5050(),
-            polarizer_rotation(1, self.theta1),
-            polarizer_rotation(2, self.theta2),
-        ]
+        """The pipeline's stages in order, walked by both routes: the
+        beamsplitter, both analyzers and, when eta < 1, the loss channels."""
+        stages = [beamsplitter_5050(), _analyzer_stage(self.theta1, self.theta2)]
         if self.eta < 1.0:
-            elements += [loss_channel(m, self.eta) for m in DETECTED_MODES]
-        return elements
+            stages.append(_loss_stage(self.eta))
+        return stages
 
 
 def build_experiment_state(cfg: ExperimentConfig) -> FockState:
@@ -228,13 +263,18 @@ def network_matrix(cfg: ExperimentConfig) -> np.ndarray:
 
     Row 0 is the image of a1x^dag and row 1 that of a2y^dag, over the
     columns NETWORK_MODES.  It is the product of the matrices of
-    ``cfg.elements()``, so every element still passes its isometry check.
+    ``cfg.elements()``, each of which takes exactly the modes the one
+    before it outputs, so every stage still passes its isometry check.
     At eta = 1 the loss-twin columns are zero.
     """
-    # mode -> its column so far: the amplitudes from a1x and from a2y
-    columns = {A1X: np.array([1.0 + 0j, 0j]), A2Y: np.array([0j, 1.0 + 0j])}
+    modes, u = (A1X, A2Y), np.eye(2, dtype=complex)
     for t in cfg.elements():
-        images = np.array([columns.pop(m) for m in t.input_modes]).T @ t.matrix
-        columns.update(zip(t.output_modes, images.T))
-    zero = np.zeros(2, dtype=complex)
-    return np.array([columns.get(m, zero) for m in NETWORK_MODES]).T
+        if t.input_modes != modes:
+            raise ValueError(f"stage inputs {t.input_modes} do not chain "
+                             f"onto the modes {modes}")
+        modes, u = t.output_modes, u @ t.matrix
+    if modes != NETWORK_MODES[:len(modes)]:
+        raise ValueError(f"pipeline ends on {modes}, not on the network modes")
+    out = np.zeros((2, len(NETWORK_MODES)), dtype=complex)
+    out[:, :len(modes)] = u
+    return out

@@ -5,12 +5,15 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import biphoton
 from biphoton.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -197,6 +200,24 @@ def test_sample_matches_benchmark_golden(config, tmp_path, capsys):
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == pin["sha256"]
     assert env["results"]["s_estimate"] == float(f"{pin['s_estimate']:.9g}")
+
+
+def test_sample_run_does_not_import_numpy_ma(tmp_path):
+    # np.unique pulls numpy.ma in lazily, about 0.5 MB of RSS per run
+    src = str(Path(biphoton.__file__).resolve().parents[1])
+    argv = ["sample", *IDEAL, "--n", "1000", "--out", str(tmp_path / "e.csv")]
+    code = (
+        f"import contextlib, io, sys; sys.path.insert(0, {src!r})\n"
+        "from biphoton.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_sample_io_error_exits_1(tmp_path, capsys):

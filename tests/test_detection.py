@@ -103,6 +103,16 @@ def test_table_shape_validation():
         JointProbabilityTable(np.zeros((5, 6)), 0.0, 0.0, 1.0, 1.0)
 
 
+def test_table_cell_rejects_classes_outside_1_to_6():
+    table = joint_table(0.1, 0.2, 0.8)
+    assert table.p(StationOutcome.DOUBLE_MINUS, np.int64(1)) == table.probs[5, 0]
+    assert table.p(2.0, 3) == table.probs[1, 2]
+    # no wrap to class 6, no truncation of 1.9 to class 1
+    for i, j in ((0, 1), (7, 1), (1.9, 1), (-1, 1), (1, 0), (1, 7), (1, math.nan)):
+        with pytest.raises(ValueError):
+            table.p(i, j)
+
+
 def test_ideal_table_matches_formulas_on_grid():
     for t1 in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False):
         for t2 in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False):

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from biphoton import selftest
 from biphoton.bell import ChshSettings, PsiAngles, chsh
 from biphoton.detection import DetectorModel, joint_table
 from biphoton.montecarlo import (
@@ -145,6 +146,45 @@ def test_draw_memory_is_the_columns_plus_one_chunk():
         tracemalloc.stop()
     assert len(batch) == 280_000
     assert peak < 2.75 * 2**20
+
+
+COLUMNS = ("setting_codes", "raw1", "raw2", "obs1", "obs2")
+
+
+def test_fresh_batch_splits_into_views():
+    batch = sample_events(small_cfg(n=300))
+    groups = batch.split_by_setting()
+    assert list(groups) == list(batch.labels)
+    for code, group in enumerate(groups.values()):
+        assert len(group) == 300
+        assert np.all(group.setting_codes == code)
+        for col in COLUMNS:
+            assert np.shares_memory(getattr(group, col), getattr(batch, col))
+
+
+def test_any_batch_splits_as_by_mask():
+    batch = sample_events(small_cfg(n=300))
+    order = np.random.default_rng(3).permutation(len(batch))
+    for b in (batch, batch[::7], batch[::-1], batch[batch.raw1 != 3],
+              batch[order], batch[:0]):
+        groups = b.split_by_setting()
+        assert list(groups) == list(b.labels)
+        for code, label in enumerate(b.labels):
+            ref = b[b.setting_codes == code]
+            for col in COLUMNS:
+                assert np.array_equal(getattr(groups[label], col), getattr(ref, col))
+
+
+def test_frequency_check_memory_is_the_draw():
+    # 4e5 events in five uint8 columns hold 1.9 MiB; a boolean-mask copy
+    # per setting took the peak to 5.8 MiB
+    tracemalloc.start()
+    try:
+        selftest.check_sampler_frequencies()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_raw_stream_does_not_depend_on_alpha():

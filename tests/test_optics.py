@@ -24,6 +24,7 @@ from biphoton.fock import (
     vacuum,
 )
 from biphoton.optics import (
+    NETWORK_MODES,
     ExperimentConfig,
     ModeTransform,
     UnknownModeError,
@@ -40,6 +41,14 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 def test_beamsplitter_is_isometry():
     assert beamsplitter_5050().is_unitary(1e-12)
+
+
+def test_beamsplitter_is_built_once_and_read_only():
+    bs = beamsplitter_5050()
+    assert beamsplitter_5050() is bs
+    assert not bs.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        bs.matrix[0, 0] = 0.0
 
 
 def test_beamsplitter_action_on_single_photon():
@@ -189,8 +198,8 @@ def test_experiment_state_with_loss_keeps_norm():
     state = build_experiment_state(ExperimentConfig(0.9, 2.2, 0.35))
     assert abs(norm(state) - 1.0) < 1e-12
     assert any(m.lost for occ in state.terms for m, _ in occ.pairs)
-    assert len(ExperimentConfig(0.9, 2.2, 0.35).elements()) == 7
-    assert len(ExperimentConfig(0.9, 2.2).elements()) == 3
+    assert len(ExperimentConfig(0.9, 2.2, 0.35).elements()) == 3
+    assert len(ExperimentConfig(0.9, 2.2).elements()) == 2
 
 
 def test_loss_channel_is_inert_at_unit_efficiency():
@@ -217,3 +226,58 @@ def test_network_matrix_is_an_isometry(eta):
     # columns 4..7 are the loss twins, empty exactly when eta = 1
     assert np.all(u[:, 4:] != 0) == (eta < 1.0)
     assert np.all(u[:, 4:] == 0) == (eta == 1.0)
+
+
+def _placed(stage, elements):
+    """The elements' matrices placed on the stage's mode lists, 0 elsewhere."""
+    u = np.zeros_like(stage.matrix)
+    for t in elements:
+        rows = [stage.input_modes.index(m) for m in t.input_modes]
+        cols = [stage.output_modes.index(m) for m in t.output_modes]
+        u[np.ix_(rows, cols)] = t.matrix
+    return u
+
+
+@pytest.mark.parametrize(
+    "theta1, theta2, eta",
+    ((0.37, 1.91, 0.35), (-9.5, 13.0, 0.999), (math.pi / 4.0, -0.6, 1e-3)),
+)
+def test_stages_are_their_element_factories_bit_for_bit(theta1, theta2, eta):
+    bs, analyzers, losses = ExperimentConfig(theta1, theta2, eta).elements()
+    assert bs is beamsplitter_5050()
+    assert analyzers.input_modes == bs.output_modes
+    assert analyzers.output_modes == losses.input_modes == DETECTED_MODES
+    assert losses.output_modes == NETWORK_MODES
+    rotations = [polarizer_rotation(1, theta1), polarizer_rotation(2, theta2)]
+    channels = [loss_channel(m, eta) for m in DETECTED_MODES]
+    # bytes, so signed zeros and the last bit count
+    assert _placed(analyzers, rotations).tobytes() == analyzers.matrix.tobytes()
+    assert _placed(losses, channels).tobytes() == losses.matrix.tobytes()
+    lossless = ExperimentConfig(theta1, theta2).elements()
+    assert [t.matrix.tobytes() for t in lossless] == [
+        bs.matrix.tobytes(), analyzers.matrix.tobytes()
+    ]
+
+
+@pytest.mark.parametrize("index, block", ((1, np.s_[0::2, :2]), (2, np.s_[3, :])))
+def test_stage_check_catches_one_bad_block(index, block):
+    # one analyzer, or one loss channel, scaled off the isometry
+    stage = ExperimentConfig(0.37, 1.91, 0.35).elements()[index]
+    ModeTransform(stage.input_modes, stage.output_modes, stage.matrix)
+    u = stage.matrix.copy()
+    u[block] *= 1.0 + 1e-9
+    with pytest.raises(ValueError, match="orthonormal"):
+        ModeTransform(stage.input_modes, stage.output_modes, u)
+
+
+def test_network_matrix_rejects_stages_that_do_not_chain(monkeypatch):
+    cfg = ExperimentConfig(0.4, -1.3, 0.7)
+    bs, analyzers, losses = cfg.elements()
+    # the same four modes in another order would silently mix columns
+    reordered = ModeTransform(
+        (C_X, C_Y, D_X, D_Y), analyzers.output_modes, analyzers.matrix
+    )
+    for stages in ([bs, losses], [analyzers, bs, losses], [bs, reordered, losses]):
+        monkeypatch.setattr(ExperimentConfig, "elements", lambda self: stages)
+        with pytest.raises(ValueError, match="chain"):
+            network_matrix(cfg)
