@@ -101,7 +101,9 @@ class ModeTransform:
             raise ValueError("matrix shape does not match the mode lists")
         u = u.copy()
         u.flags.writeable = False
-        object.__setattr__(self, "matrix", u)
+        # a view of a read-only array cannot be made writeable again, so a
+        # shared transform such as the beamsplitter stays constant
+        object.__setattr__(self, "matrix", u.view())
         if not self.is_unitary(UNITARY_TOLERANCE):
             raise ValueError("transform rows are not orthonormal")
 
@@ -263,9 +265,10 @@ def network_matrix(cfg: ExperimentConfig) -> np.ndarray:
 
     Row 0 is the image of a1x^dag and row 1 that of a2y^dag, over the
     columns NETWORK_MODES.  It is the product of the matrices of
-    ``cfg.elements()``, each of which takes exactly the modes the one
-    before it outputs, so every stage still passes its isometry check.
-    At eta = 1 the loss-twin columns are zero.
+    ``cfg.elements()``, each of which has passed its isometry check.  A
+    stage must take exactly the modes, in order, that the one before it
+    outputs, or ValueError is raised.  At eta = 1 the pipeline ends on
+    the detected modes and the loss-twin columns are zero.
     """
     modes, u = (A1X, A2Y), np.eye(2, dtype=complex)
     for t in cfg.elements():

@@ -49,6 +49,8 @@ def test_beamsplitter_is_built_once_and_read_only():
     assert not bs.matrix.flags.writeable
     with pytest.raises(ValueError):
         bs.matrix[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        bs.matrix.flags.writeable = True
 
 
 def test_beamsplitter_action_on_single_photon():
@@ -281,3 +283,6 @@ def test_network_matrix_rejects_stages_that_do_not_chain(monkeypatch):
         monkeypatch.setattr(ExperimentConfig, "elements", lambda self: stages)
         with pytest.raises(ValueError, match="chain"):
             network_matrix(cfg)
+    monkeypatch.setattr(ExperimentConfig, "elements", lambda self: [bs])
+    with pytest.raises(ValueError, match="not on the network modes"):
+        network_matrix(cfg)
