@@ -190,6 +190,19 @@ def test_sample_writes_deterministic_csv(tmp_path, capsys):
     assert env1["results"]["s_stderr"] > 0.0
 
 
+#: sha256 of each golden config's `sample` results at n = 1000 without
+#: `out`: per-setting e, stderr and n, n_events, s_estimate and s_stderr,
+#: as the envelope prints them (9 significant digits)
+SAMPLE_RESULT_PINS = (
+    "9b2429dc27cdd9dad9a00c4107b5d7db74fdd74373117a679712f6c5a2c6101d",
+    "cc671cc0ed672f223d042e36d8d8d92ae18d1763cd1eb23a35251124c389974a",
+    "028b3ec4a1a0a65df43990d89284affaf9c6f6105ec5270df4efa14a616b0785",
+    "edffa796c153b27338da0ae0b9048d80478176990ddc7c2a0ae50baa3e94899e",
+    "4483ef8506f1ccb400188c403f6df51a4688a3033a54b41aa1614f0b7b90c50d",
+    "f7c16fe4e88b174de9ea62487354ac088377369e56f66c0ca2a1d74f1573c8d0",
+)
+
+
 @pytest.mark.parametrize("config", range(6))
 def test_sample_matches_benchmark_golden(config, tmp_path, capsys):
     # the benchmark counts any other bytes or S as a failed export
@@ -200,6 +213,9 @@ def test_sample_matches_benchmark_golden(config, tmp_path, capsys):
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == pin["sha256"]
     assert env["results"]["s_estimate"] == float(f"{pin['s_estimate']:.9g}")
+    results = {k: v for k, v in env["results"].items() if k != "out"}
+    digest = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
+    assert digest == SAMPLE_RESULT_PINS[config]
 
 
 def test_sample_run_does_not_import_numpy_ma(tmp_path):
