@@ -13,6 +13,7 @@ station-2 relabel; the raw stream therefore does not depend on alpha.
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from .bell import SETTING_LABELS, ChshSettings
 from .detection import DEFAULT_ASSIGNMENT, DetectorModel, StationOutcome, joint_table
 
-#: events drawn per Philox stream
+#: events drawn per Philox stream, and rows per bincount in EventBatch.counts
 CHUNK_SIZE = 1 << 16
 
 #: rows formatted per write in EventBatch.to_csv
@@ -49,9 +50,10 @@ class SamplerConfig:
     settings: ChshSettings
 
     def __post_init__(self):
-        if not 0 <= int(self.seed) < 2**64:
+        # operator.index rejects floats, which int() would truncate
+        if not 0 <= operator.index(self.seed) < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
-        if self.n_per_setting < 1:
+        if operator.index(self.n_per_setting) < 1:
             raise ValueError("n_per_setting must be at least 1")
 
 
@@ -73,7 +75,8 @@ class EventBatch:
     """Column-oriented sequence of EventRecord.
 
     Columns are numpy arrays; indexing with an int materializes a single
-    EventRecord, slices and boolean masks return a new batch view.
+    EventRecord, slices and boolean masks return a new batch view.  The
+    estimators and ``validate`` read a batch only through ``counts()``.
     """
 
     def __init__(self, labels, psi1_by_code, psi2_by_code, setting_codes,
@@ -89,17 +92,6 @@ class EventBatch:
 
     def __len__(self):
         return len(self.setting_codes)
-
-    @property
-    def a(self):
-        """Station-1 values under the default assignment."""
-        lut = np.asarray(DEFAULT_ASSIGNMENT.a, dtype=np.int8)
-        return lut[self.obs1 - 1]
-
-    @property
-    def b(self):
-        lut = np.asarray(DEFAULT_ASSIGNMENT.b, dtype=np.int8)
-        return lut[self.obs2 - 1]
 
     @property
     def psi1(self):
@@ -156,12 +148,40 @@ class EventBatch:
                     in zip(self.labels, bounds, bounds[1:])}
         return {label: self[codes == code] for code, label in enumerate(self.labels)}
 
+    def _row_keys(self, rows) -> np.ndarray:
+        """code*6**4 + (raw1-1)*6**3 + (raw2-1)*6**2 + (obs1-1)*6 + (obs2-1)
+        for each row in ``rows``.  A code outside the labels or a class
+        outside 1..6 would take another row's key, so it raises ValueError.
+        """
+        # intp before any arithmetic: the columns are uint8
+        key = self.setting_codes[rows].astype(np.intp)
+        if len(key) and not 0 <= key.min() <= key.max() < len(self.labels):
+            raise ValueError(f"setting codes outside 0..{len(self.labels) - 1}")
+        for name in ("raw1", "raw2", "obs1", "obs2"):
+            col = getattr(self, name)[rows]
+            if len(col) and not 1 <= col.min() <= col.max() <= 6:
+                raise ValueError(f"{name} holds classes outside 1..6")
+            key *= 6
+            key += col
+            key -= 1
+        return key
+
+    def counts(self) -> np.ndarray:
+        """Event counts, int64, indexed [code, raw1-1, raw2-1, obs1-1, obs2-1]."""
+        size = len(self.labels) * 6**4
+        total = np.zeros(size, dtype=np.int64)
+        for start in range(0, len(self), CHUNK_SIZE):
+            keys = self._row_keys(slice(start, start + CHUNK_SIZE))
+            total += np.bincount(keys, minlength=size)
+        return total.reshape(len(self.labels), 6, 6, 6, 6)
+
     def to_csv(self, path) -> None:
         """Deterministic CSV export; identical configs give identical bytes.
 
         Everything after a row's index depends only on its setting and its
         four outcome classes, so those row tails are formatted once per
-        call and looked up by an integer key, CSV_CHUNK rows per write.
+        call and looked up by the row key, CSV_CHUNK rows per write.  A
+        ValueError from a bad row leaves the rows before its chunk written.
         """
         va = DEFAULT_ASSIGNMENT
         pairs = list(itertools.product(range(1, 7), repeat=2))
@@ -173,15 +193,8 @@ class EventBatch:
         with open(path, "w", newline="") as fh:
             fh.write("index,setting,psi1,psi2,raw1,raw2,obs1,obs2,a,b\n")
             for start in range(0, len(self), CSV_CHUNK):
-                rows = slice(start, start + CSV_CHUNK)
-                # intp before any arithmetic: the columns are uint8
-                key = self.setting_codes[rows].astype(np.intp)
-                for col in (self.raw1, self.raw2, self.obs1, self.obs2):
-                    key = key * 6 + col[rows] - 1
-                fh.write("".join([
-                    f"{i},{tails[k]}"
-                    for i, k in enumerate(key.tolist(), start)
-                ]))
+                keys = self._row_keys(slice(start, start + CSV_CHUNK)).tolist()
+                fh.write("".join([f"{i},{tails[k]}" for i, k in enumerate(keys, start)]))
 
 
 def _stream(seed: int, setting_index: int, chunk_index: int) -> np.random.Generator:
@@ -226,17 +239,23 @@ def sample_events(cfg: SamplerConfig) -> EventBatch:
 
 
 def estimate_correlation(events: EventBatch) -> tuple:
-    """(mean, standard error) of the product a * b over one setting."""
-    if len(events) == 0:
+    """(mean, standard error) of the product a * b over one setting.
+
+    t, the sum of a * b over the n events, is a @ obs @ b over the observed
+    6x6 counts, in integers; each product is +/-1, so the sample variance
+    is (n*n - t*t) / (n*(n-1)).
+    """
+    counts = events.counts()
+    per_setting = counts.reshape(len(counts), -1).sum(axis=1)
+    n = int(per_setting.sum())
+    if n == 0:
         raise EmptyEventsError("no events")
-    codes = events.setting_codes
-    if codes.min() != codes.max():
+    if np.count_nonzero(per_setting) > 1:
         raise MixedSettingsError("events span several settings")
-    ab = events.a * events.b
-    n = len(ab)
-    mean = float(ab.mean())
-    var = float(ab.var(ddof=1)) if n > 1 else 0.0
-    return mean, math.sqrt(var / n)
+    va = DEFAULT_ASSIGNMENT
+    t = int(np.asarray(va.a, dtype=np.int64) @ counts.sum(axis=(0, 1, 2)) @ va.b)
+    var = (n * n - t * t) / (n * (n - 1)) if n > 1 else 0.0
+    return t / n, math.sqrt(var / n)
 
 
 def estimate_chsh(groups) -> tuple:

@@ -227,9 +227,7 @@ def check_sampler_frequencies():
     theta1, theta2 = bell.PsiAngles(0.0, 3.0 * math.pi / 4.0).to_thetas()
     table = detection.joint_table(theta1, theta2)
     n = len(first)
-    emp = np.zeros((6, 6))
-    np.add.at(emp, (first.raw1 - 1, first.raw2 - 1), 1.0)
-    emp /= n
+    emp = first.counts()[0].sum(axis=(2, 3)) / n
     assert np.max(np.abs(emp - table.probs)) < 5.0 / math.sqrt(n)
     s, err = montecarlo.estimate_chsh(groups)
     exact = bell.chsh(cfg.settings, cfg.model)

@@ -1,12 +1,14 @@
 import hashlib
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import biphoton.montecarlo as mc
 from biphoton import selftest
-from biphoton.bell import ChshSettings, PsiAngles, chsh
+from biphoton.bell import SETTING_LABELS, ChshSettings, PsiAngles, chsh
 from biphoton.detection import DetectorModel, joint_table
 from biphoton.montecarlo import (
     EmptyEventsError,
@@ -38,6 +40,16 @@ def test_config_validation():
         small_cfg(seed=2**64)
     with pytest.raises(ValueError):
         small_cfg(n=0)
+
+
+def test_config_rejects_non_integers():
+    # int() truncates: seed 1.5 would draw seed 1's events, n 2.5 would draw 2
+    with pytest.raises(TypeError):
+        small_cfg(seed=1.5)
+    with pytest.raises(TypeError):
+        small_cfg(n=2.5)
+    cfg = small_cfg(seed=np.uint64(2**64 - 1), n=np.int64(3))
+    assert len(sample_events(cfg)) == 12
 
 
 def test_fixed_seed_is_reproducible():
@@ -187,6 +199,79 @@ def test_frequency_check_memory_is_the_draw():
     assert peak < 4 * 2**20
 
 
+def hand_batch(*columns):
+    """A batch of the columns (codes, raw1, raw2, obs1, obs2) as uint8."""
+    return EventBatch(SETTING_LABELS, (0.0,) * 4, (0.0,) * 4,
+                      *(np.array(c, dtype=np.uint8) for c in columns))
+
+
+@pytest.mark.parametrize("chunk", (256, mc.CHUNK_SIZE))
+def test_counts_equal_an_add_at_histogram(chunk, monkeypatch):
+    batch = sample_events(small_cfg(n=300, alpha=0.5, eta=0.9))
+    monkeypatch.setattr(mc, "CHUNK_SIZE", chunk)
+    for b in (batch, batch[::7], batch[::-1], batch[batch.raw1 != 3], batch[:0]):
+        # the whole histogram, so every marginal the estimators and
+        # validate read: per-setting totals, raw and observed tables
+        ref = np.zeros((4, 6, 6, 6, 6), dtype=np.int64)
+        np.add.at(ref, (b.setting_codes, b.raw1 - 1, b.raw2 - 1,
+                        b.obs1 - 1, b.obs2 - 1), 1)
+        counts = b.counts()
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, ref)
+
+
+#: one bad class or code in row 1 of otherwise valid rows; unchecked, the
+#: first three alias other rows' keys and the last indexes past the row tails
+BAD_ROWS = {
+    "obs2_7": ([0, 0, 0], [1, 2, 3], [1, 2, 3], [1, 2, 3], [1, 7, 3]),
+    "raw1_7": ([0, 0, 0], [1, 7, 3], [1, 2, 3], [1, 2, 3], [1, 2, 3]),
+    "obs2_0": ([0, 0, 0], [1, 2, 3], [1, 2, 3], [1, 2, 3], [1, 0, 3]),
+    "code_4": ([0, 4, 0], [1, 2, 3], [1, 2, 3], [1, 2, 3], [1, 2, 3]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_ROWS))
+def test_out_of_range_rows_raise(name, tmp_path):
+    batch = hand_batch(*BAD_ROWS[name])
+    with pytest.raises(ValueError):
+        batch.to_csv(tmp_path / "events.csv")
+    with pytest.raises(ValueError):
+        batch.counts()
+    with pytest.raises(ValueError):
+        estimate_correlation(batch)
+
+
+def test_estimator_mean_is_the_exact_fraction():
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        n = int(rng.integers(1, 3000))
+        # a skewed share of class 1 keeps t away from 0
+        p = rng.uniform(0.0, 1.0, size=2)
+        obs1, obs2 = (np.where(rng.random(n) < q, 1, rng.integers(2, 7, n)) for q in p)
+        batch = hand_batch(np.full(n, rng.integers(0, 4)), rng.integers(1, 7, n),
+                           rng.integers(1, 7, n), obs1, obs2)
+        ab = np.where(obs1 == 1, -1, 1) * np.where(obs2 == 1, -1, 1)
+        t = int(ab.sum())
+        mean, err = estimate_correlation(batch)
+        assert mean == float(Fraction(t, n))
+        ref = math.sqrt(ab.var(ddof=1) / n) if n > 1 else 0.0
+        assert math.isclose(err, ref, rel_tol=1e-14, abs_tol=1e-300)
+
+
+def test_chsh_estimate_memory_is_one_chunk_key():
+    # the largest temporary is one intp row key of CHUNK_SIZE rows, 0.5 MiB;
+    # per-event value columns and their float product would add 0.5 MiB each
+    groups = sample_events(CSV_PINS["above_chunk"][0]).split_by_setting()
+    tracemalloc.start()
+    try:
+        estimate_chsh(groups)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(len(g) for g in groups.values()) == 280_000
+    assert peak < 1 * 2**20
+
+
 def test_raw_stream_does_not_depend_on_alpha():
     ideal = sample_events(small_cfg(alpha=1.0))
     noisy = sample_events(small_cfg(alpha=0.3))
@@ -258,22 +343,12 @@ def test_empirical_frequencies_converge():
 
 
 def test_estimate_correlation_trivial_cases():
-    batch = EventBatch(
-        ("AB", "A'B", "AB'", "A'B'"), (0.0,) * 4, (0.0,) * 4,
-        np.zeros(3, dtype=np.uint8),
-        np.full(3, 2, dtype=np.uint8), np.full(3, 2, dtype=np.uint8),
-        np.full(3, 2, dtype=np.uint8), np.full(3, 2, dtype=np.uint8),
-    )
+    batch = hand_batch([0] * 3, [2] * 3, [2] * 3, [2] * 3, [2] * 3)
     mean, err = estimate_correlation(batch)
     assert mean == 1.0
     assert err == 0.0
     # one +1 and one -1 event average to zero
-    mixed = EventBatch(
-        ("AB", "A'B", "AB'", "A'B'"), (0.0,) * 4, (0.0,) * 4,
-        np.zeros(2, dtype=np.uint8),
-        np.array([2, 1], dtype=np.uint8), np.array([2, 2], dtype=np.uint8),
-        np.array([2, 1], dtype=np.uint8), np.array([2, 2], dtype=np.uint8),
-    )
+    mixed = hand_batch([0, 0], [2, 1], [2, 2], [2, 1], [2, 2])
     mean, err = estimate_correlation(mixed)
     assert mean == 0.0
     # sample variance 2 with ddof=1, so sqrt(2 / 2) = 1
@@ -324,8 +399,8 @@ def test_event_records_and_iteration():
     assert rec.psi1 == 0.0
     assert rec.raw[0] == events.raw1[0]
     assert rec.observed[1] == events.obs2[0]
-    assert rec.a == events.a[0]
-    assert rec.b == events.b[0]
+    assert rec.a == np.where(events.obs1 == 1, -1, 1)[0]
+    assert rec.b == np.where(events.obs2 == 1, -1, 1)[0]
     last = events[-1]
     assert last.setting == "A'B'"
     with pytest.raises(IndexError):
@@ -339,14 +414,13 @@ def test_event_records_and_iteration():
 
 def test_records_read_columns_per_element(monkeypatch):
     events = sample_events(small_cfg(alpha=0.0, n=300))
-    a = events.a.tolist()
-    b = events.b.tolist()
+    a = np.where(events.obs1 == 1, -1, 1).tolist()
+    b = np.where(events.obs2 == 1, -1, 1).tolist()
 
-    def whole_column(self):
-        raise AssertionError("a record read rebuilt a whole value column")
+    def whole_batch(self):
+        raise AssertionError("a record read built the whole histogram")
 
-    monkeypatch.setattr(EventBatch, "a", property(whole_column))
-    monkeypatch.setattr(EventBatch, "b", property(whole_column))
+    monkeypatch.setattr(EventBatch, "counts", whole_batch)
     records = list(events)
     assert [r.index for r in records] == list(range(len(events)))
     assert [r.setting for r in records] == [
@@ -367,13 +441,12 @@ def test_records_read_columns_per_element(monkeypatch):
 
 def test_values_follow_default_assignment():
     events = sample_events(small_cfg(alpha=0.0, n=2000))
-    assert np.array_equal(events.a, np.where(events.obs1 == 1, -1, 1))
-    assert np.array_equal(events.b, np.where(events.obs2 == 1, -1, 1))
+    for group in events.split_by_setting().values():
+        ab = np.where(group.obs1 == 1, -1, 1) * np.where(group.obs2 == 1, -1, 1)
+        assert estimate_correlation(group)[0] == ab.mean()
 
 
 def test_chunked_sampling_is_chunk_size_invariant(monkeypatch):
-    import biphoton.montecarlo as mc
-
     cfg = SamplerConfig(
         seed=23,
         n_per_setting=1000,
