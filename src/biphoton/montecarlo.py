@@ -76,7 +76,8 @@ class EventBatch:
 
     Columns are numpy arrays; indexing with an int materializes a single
     EventRecord, slices and boolean masks return a new batch view.  The
-    estimators and ``validate`` read a batch only through ``counts()``.
+    estimators and ``validate``'s frequency check read a batch only
+    through ``counts()``, its integer histogram.
     """
 
     def __init__(self, labels, psi1_by_code, psi2_by_code, setting_codes,
