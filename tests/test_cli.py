@@ -164,6 +164,13 @@ OUTPUT_PINS = (
     (["hom-scan", "--points", "9", "--theta2", "0.3", "--start=-1", "--stop", "7"],
      "0fe8e83fc201b1685b4e4c2c25331aabf260540f505e609673a9d86a9e572ee0",
      "dfeb830abdc738a087012bf8ec283dd4df34a94b0a087140e60e890eb3b703bc"),
+    (["probs", "17", "63", "--eta", "0.9", "--alpha", "0.4", "--degrees"],
+     "029a951e2ca28db5fff076011109d9ff0e91b8cbdbfcab463eac8af0ae4ba1ef",
+     "a15147d84c98726474f8cade15182612e4d7c7b481507fc605ae6dc80c7c6b9d"),
+    (["hom-scan", "--points", "7", "--theta2", "20", "--start=-30", "--stop", "120",
+      "--degrees"],
+     "dd39021eb3e32dab4042272e17c394704b919f020ab4aa2a087c47126c69c407",
+     "21919e37e8593b7ad9af403e9a1736ed2414e57ca99d972a14249547dbfa217a"),
 )
 
 
@@ -173,6 +180,42 @@ def test_table_outputs_are_pinned(argv, json_sha, csv_sha, fmt, capsys):
     assert main(argv + ["--format", fmt]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == (json_sha if fmt == "json" else csv_sha)
+
+
+#: sha256 of stdout per argv, for the commands that print only JSON
+JSON_PINS = (
+    (["correlation", "0.3", "1.1"],
+     "c738a1c497efeaa8c5acfac065f91bc524ebdefbada958b5866fba5ac6797e12"),
+    (["correlation", "0.3", "1.1", "--eta", "0.8", "--alpha", "0.4"],
+     "0ab6e67e5364fafc84b91dd5623d650f7f4543658479de4890fd5fedfe28e90d"),
+    (["chsh", *IDEAL],
+     "c5085c1f8932952369110b486c6a6923ac9439c8754d1d5b61fe71f334c3b219"),
+    (["chsh", "0.1", "0.9", "-0.4", "2.2", "--eta", "0.85", "--alpha", "0.5"],
+     "cfa9fb1b303630268f62d4f0f436d8d3bf92acc8e2705da0ddb2a5775f5ef8de"),
+    (["chsh", "0", "90", "45", "135", "--degrees", "--eta", "0.9", "--alpha", "0.2"],
+     "540375ded18a9f0eba5786fab87404e95a1420a09ebd375b223e77f9e37fb6c3"),
+    (["optimize"],
+     "9164cd9f915c121d4b354448fcda6af5a9a9e18ccfc96420c9e524aa02b043d7"),
+    (["optimize", "--eta", "0.9", "--alpha", "0.3", "--starts", "4"],
+     "d7acd97b803cafb195ae2f3180d16d711ec55595ca9b05731c54ec95b3be7d6b"),
+    (["critical-eta", "--alpha", "1"],
+     "91db2bf77f0fcc6cd8df62165d5b0938e9e3f9dcf7942d1bc4bcbba353d856ca"),
+    # 0.33 has no reference threshold, so "reference" prints null
+    (["critical-eta", "--alpha", "0.33", "--tol", "0.01", "--starts", "8"],
+     "c8a23a96c92c09a99acb0a1ee758766641313bf336d1bcc848542cd61734e80a"),
+    (["critical-eta", "--alpha", "0.75", "--tol", "1e-6"],
+     "fb754a61a4260ccd905a9b75025e32f8f753b0192e061e17c420af11c01b5357"),
+    (["sample", "10", "100", "55", "-35", "--degrees", "--eta", "0.9", "--alpha", "0.6",
+      "--seed", "7", "--n", "500", "--out", os.devnull],
+     "cfd4aa00b0cb60a9d0564b32f624b60783943b2593d0833a5bbc3c2a58d1f83b"),
+)
+
+
+@pytest.mark.parametrize("argv, sha", JSON_PINS)
+def test_json_outputs_are_pinned(argv, sha, capsys):
+    assert main(argv) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == sha
 
 
 def test_sample_writes_deterministic_csv(tmp_path, capsys):
