@@ -3,15 +3,17 @@
 Every subcommand prints one JSON envelope {command, parameters,
 results, schema_version} with numbers rounded to 9 significant digits;
 tables and event sets can be exported as CSV instead.  Angles are read
-as radians unless --degrees is given, and are always reported in
-radians.  Exit codes: 0 success, 1 failed validation or runtime
-failure, 2 usage errors (bad flags, out-of-range parameters).
+as radians unless --degrees is given.  ``parameters`` echoes every
+parsed argument except --degrees, with angles in radians.  Exit codes:
+0 success, 1 failed validation or runtime failure, 2 usage errors (bad
+flags, out-of-range parameters).
 """
 
 import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 from .bell import (
     ChshSettings,
@@ -28,7 +30,7 @@ from .detection import (
     closed_form_lossy_table,
     joint_table,
 )
-from .montecarlo import SamplerConfig, estimate_chsh, estimate_correlation, sample_events
+from .montecarlo import SamplerConfig, chsh_from_correlations, estimate_correlation, sample_events
 from .optimize import critical_efficiency, maximize_chsh
 from .selftest import run_all
 
@@ -36,6 +38,9 @@ SCHEMA_VERSION = 2
 
 #: published thresholds shipped for comparison in critical-eta output
 REFERENCE_THRESHOLDS = ((1.0, 0.91), (0.875, 0.91), (0.75, 0.92), (0.5, 0.92), (0.0, 0.926))
+
+#: destinations of every angle argument; --degrees converts them in main
+ANGLES = ("theta1", "theta2", "psi1", "psi1_prime", "psi2", "psi2_prime", "start", "stop")
 
 
 def _sig9(x: float) -> float:
@@ -53,18 +58,16 @@ def _clean(obj):
     return obj
 
 
-def _emit(command: str, parameters: dict, results: dict) -> None:
+def _emit(args, results: dict) -> None:
+    parameters = {k: v for k, v in vars(args).items()
+                  if k not in ("command", "func", "degrees")}
     envelope = {
-        "command": command,
+        "command": args.command,
         "parameters": _clean(parameters),
         "results": _clean(results),
         "schema_version": SCHEMA_VERSION,
     }
     print(json.dumps(envelope, indent=2, allow_nan=False))
-
-
-def _angle(value: float, degrees: bool) -> float:
-    return math.radians(value) if degrees else value
 
 
 def _doublable(**angles: float) -> None:
@@ -86,19 +89,16 @@ def _finite(text: str) -> float:
     return value
 
 
-def _settings_dict(settings: ChshSettings) -> dict:
-    return {
-        "psi1": settings.psi1,
-        "psi1_prime": settings.psi1_prime,
-        "psi2": settings.psi2,
-        "psi2_prime": settings.psi2_prime,
-    }
+def _print_csv(rows) -> None:
+    """One header line of the first row's keys, then each row's values."""
+    print(",".join(rows[0]))
+    for row in rows:
+        print(",".join(f"{v:.9g}" for v in row.values()))
 
 
 def cmd_probs(args) -> int:
     model = DetectorModel(alpha=args.alpha, eta=args.eta)
-    theta1 = _angle(args.theta1, args.degrees)
-    theta2 = _angle(args.theta2, args.degrees)
+    theta1, theta2 = args.theta1, args.theta2
     _doublable(theta1=theta1, theta2=theta2)
     table = apply_alpha_confusion(joint_table(theta1, theta2, model.eta), model.alpha)
     formula = closed_form_lossy_table(theta1, theta2, model.eta)
@@ -106,24 +106,12 @@ def cmd_probs(args) -> int:
         JointProbabilityTable(formula, theta1, theta2, model.eta, 1.0), model.alpha
     )
     records = table.records()
-    params = {
-        "theta1": theta1,
-        "theta2": theta2,
-        "eta": model.eta,
-        "alpha": model.alpha,
-        "format": args.format,
-    }
     if args.format == "csv":
-        print("i,j,theta1,theta2,eta,alpha,p")
-        for r in records:
-            print(
-                f"{r['i']},{r['j']},{r['theta1']:.9g},{r['theta2']:.9g},"
-                f"{r['eta']:.9g},{r['alpha']:.9g},{r['p']:.9g}"
-            )
+        _print_csv(records)
         return 0
     for r, f in zip(records, formula_table.records()):
         r["p_formula"] = f["p"]
-    _emit("probs", params, {
+    _emit(args, {
         "records": records,
         "total": table.total,
         "max_formula_deviation": float(abs(table.probs - formula_table.probs).max()),
@@ -133,63 +121,46 @@ def cmd_probs(args) -> int:
 
 def cmd_correlation(args) -> int:
     model = DetectorModel(alpha=args.alpha, eta=args.eta)
-    psi = PsiAngles(_angle(args.psi1, args.degrees), _angle(args.psi2, args.degrees))
+    psi = PsiAngles(args.psi1, args.psi2)
     _doublable(psi1=psi.psi1, psi2=psi.psi2)
     closed = correlation_closed_form(psi, model)
     tabled = correlation_via_table(psi, model)
-    _emit(
-        "correlation",
-        {"psi1": psi.psi1, "psi2": psi.psi2, "eta": model.eta, "alpha": model.alpha},
-        {
-            "correlation": closed,
-            "correlation_from_table": tabled,
-            "difference": abs(closed - tabled),
-        },
-    )
+    _emit(args, {
+        "correlation": closed,
+        "correlation_from_table": tabled,
+        "difference": abs(closed - tabled),
+    })
     return 0
 
 
-def _parse_settings(args, degrees: bool) -> ChshSettings:
-    return ChshSettings(
-        _angle(args.psi1, degrees),
-        _angle(args.psi1_prime, degrees),
-        _angle(args.psi2, degrees),
-        _angle(args.psi2_prime, degrees),
-    )
+def _parse_settings(args) -> ChshSettings:
+    return ChshSettings(args.psi1, args.psi1_prime, args.psi2, args.psi2_prime)
 
 
 def cmd_chsh(args) -> int:
     model = DetectorModel(alpha=args.alpha, eta=args.eta)
-    settings = _parse_settings(args, args.degrees)
-    _doublable(**_settings_dict(settings))
+    settings = _parse_settings(args)
+    _doublable(**asdict(settings))
     closed = chsh(settings, model)
     tabled = chsh(settings, model, method="table")
-    _emit(
-        "chsh",
-        dict(_settings_dict(settings), eta=model.eta, alpha=model.alpha),
-        {
-            "s": closed,
-            "s_from_table": tabled,
-            "margin": closed - 2.0,
-            "difference": abs(closed - tabled),
-        },
-    )
+    _emit(args, {
+        "s": closed,
+        "s_from_table": tabled,
+        "margin": closed - 2.0,
+        "difference": abs(closed - tabled),
+    })
     return 0
 
 
 def cmd_optimize(args) -> int:
     model = DetectorModel(alpha=args.alpha, eta=args.eta)
     result = maximize_chsh(model, starts=args.starts)
-    _emit(
-        "optimize",
-        {"eta": model.eta, "alpha": model.alpha, "starts": args.starts},
-        {
-            "best_value": result.best_value,
-            "settings": _settings_dict(result.settings),
-            "starts_used": result.starts_used,
-            "converged": result.converged,
-        },
-    )
+    _emit(args, {
+        "best_value": result.best_value,
+        "settings": asdict(result.settings),
+        "starts_used": result.starts_used,
+        "converged": result.converged,
+    })
     return 0
 
 
@@ -202,25 +173,19 @@ def cmd_critical_eta(args) -> int:
         if abs(known_alpha - args.alpha) < 1e-9:
             reference = eta
             break
-    _emit(
-        "critical-eta",
-        {"alpha": args.alpha, "tol": args.tol, "starts": args.starts},
-        {
-            "eta_critical": result.eta_critical,
-            "bracket_width": result.bracket_width,
-            "settings_at_threshold": _settings_dict(result.settings_at_threshold),
-            "reference": reference,
-        },
-    )
+    _emit(args, {
+        "eta_critical": result.eta_critical,
+        "bracket_width": result.bracket_width,
+        "settings_at_threshold": asdict(result.settings_at_threshold),
+        "reference": reference,
+    })
     return 0
 
 
 def cmd_hom_scan(args) -> int:
     if args.points < 2:
         raise ValueError("points must be at least 2")
-    start = _angle(args.start, args.degrees)
-    stop = _angle(args.stop, args.degrees)
-    theta2 = _angle(args.theta2, args.degrees)
+    start, stop, theta2 = args.start, args.stop, args.theta2
     step = (stop - start) / (args.points - 1)
     if not math.isfinite(step):
         raise ValueError(f"hom-scan range from {start!r} to {stop!r} is too wide: "
@@ -232,20 +197,10 @@ def cmd_hom_scan(args) -> int:
         _doublable(theta1=theta1)
         probs = hom_port_probabilities(theta1, theta2)
         rows.append(dict({"theta1": theta1, "theta2": theta2}, **probs.as_dict()))
-    params = {
-        "start": start,
-        "stop": stop,
-        "points": args.points,
-        "theta2": theta2,
-        "format": args.format,
-    }
     if args.format == "csv":
-        cols = ["theta1", "theta2", "p_4_3", "p_5_3", "p_6_3", "p_3_4", "p_3_5", "p_3_6"]
-        print(",".join(cols))
-        for row in rows:
-            print(",".join(f"{row[c]:.9g}" for c in cols))
+        _print_csv(rows)
         return 0
-    _emit("hom-scan", params, {"grid": rows})
+    _emit(args, {"grid": rows})
     return 0
 
 
@@ -255,34 +210,22 @@ def cmd_sample(args) -> int:
         seed=args.seed,
         n_per_setting=args.n,
         model=model,
-        settings=_parse_settings(args, args.degrees),
+        settings=_parse_settings(args),
     )
     events = sample_events(cfg)
     events.to_csv(args.out)
     groups = events.split_by_setting()
-    per_setting = {}
-    for label, group in groups.items():
-        mean, err = estimate_correlation(group)
-        per_setting[label] = {"e": mean, "stderr": err, "n": len(group)}
-    s, s_err = estimate_chsh(groups)
-    _emit(
-        "sample",
-        dict(
-            _settings_dict(cfg.settings),
-            eta=model.eta,
-            alpha=model.alpha,
-            seed=args.seed,
-            n=args.n,
-            out=args.out,
-        ),
-        {
-            "out": args.out,
-            "n_events": len(events),
-            "per_setting": per_setting,
-            "s_estimate": s,
-            "s_stderr": s_err,
-        },
-    )
+    correlations = {label: estimate_correlation(g) for label, g in groups.items()}
+    per_setting = {label: {"e": e, "stderr": err, "n": len(groups[label])}
+                   for label, (e, err) in correlations.items()}
+    s, s_err = chsh_from_correlations(correlations)
+    _emit(args, {
+        "out": args.out,
+        "n_events": len(events),
+        "per_setting": per_setting,
+        "s_estimate": s,
+        "s_stderr": s_err,
+    })
     return 0
 
 
@@ -379,6 +322,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "degrees", False):
+        for name in ANGLES:
+            if hasattr(args, name):
+                setattr(args, name, math.radians(getattr(args, name)))
     try:
         return args.func(args)
     except ValueError as exc:

@@ -149,26 +149,33 @@ class EventBatch:
                     in zip(self.labels, bounds, bounds[1:])}
         return {label: self[codes == code] for code, label in enumerate(self.labels)}
 
+    def _check_rows(self) -> None:
+        """Raise ValueError for a setting code outside the labels or a class
+        outside 1..6 in any row: such a row would take another row's key.
+        """
+        codes = self.setting_codes
+        if len(codes) and not 0 <= codes.min() <= codes.max() < len(self.labels):
+            raise ValueError(f"setting codes outside 0..{len(self.labels) - 1}")
+        for name in ("raw1", "raw2", "obs1", "obs2"):
+            col = getattr(self, name)
+            if len(col) and not 1 <= col.min() <= col.max() <= 6:
+                raise ValueError(f"{name} holds classes outside 1..6")
+
     def _row_keys(self, rows) -> np.ndarray:
         """code*6**4 + (raw1-1)*6**3 + (raw2-1)*6**2 + (obs1-1)*6 + (obs2-1)
-        for each row in ``rows``.  A code outside the labels or a class
-        outside 1..6 would take another row's key, so it raises ValueError.
+        for each row in ``rows``, of a batch that passed ``_check_rows``.
         """
         # intp before any arithmetic: the columns are uint8
         key = self.setting_codes[rows].astype(np.intp)
-        if len(key) and not 0 <= key.min() <= key.max() < len(self.labels):
-            raise ValueError(f"setting codes outside 0..{len(self.labels) - 1}")
         for name in ("raw1", "raw2", "obs1", "obs2"):
-            col = getattr(self, name)[rows]
-            if len(col) and not 1 <= col.min() <= col.max() <= 6:
-                raise ValueError(f"{name} holds classes outside 1..6")
             key *= 6
-            key += col
+            key += getattr(self, name)[rows]
             key -= 1
         return key
 
     def counts(self) -> np.ndarray:
         """Event counts, int64, indexed [code, raw1-1, raw2-1, obs1-1, obs2-1]."""
+        self._check_rows()
         size = len(self.labels) * 6**4
         total = np.zeros(size, dtype=np.int64)
         for start in range(0, len(self), CHUNK_SIZE):
@@ -182,8 +189,9 @@ class EventBatch:
         Everything after a row's index depends only on its setting and its
         four outcome classes, so those row tails are formatted once per
         call and looked up by the row key, CSV_CHUNK rows per write.  A
-        ValueError from a bad row leaves the rows before its chunk written.
+        batch with a bad row raises ValueError before ``path`` is opened.
         """
+        self._check_rows()
         va = DEFAULT_ASSIGNMENT
         pairs = list(itertools.product(range(1, 7), repeat=2))
         settings = [f"{label},{psi1:.9g},{psi2:.9g},"
@@ -259,19 +267,29 @@ def estimate_correlation(events: EventBatch) -> tuple:
     return t / n, math.sqrt(var / n)
 
 
+def _require_settings(by_label) -> None:
+    for label in SETTING_LABELS:
+        if label not in by_label:
+            raise MissingSettingError(f"missing setting {label!r}")
+
+
 def estimate_chsh(groups) -> tuple:
     """(S estimate, standard error) from per-setting event groups.
 
-    ``groups`` maps each of the four SETTING_LABELS to its events; the
-    errors combine in quadrature.
+    ``groups`` maps each of the four SETTING_LABELS to its events.
     """
-    for label in SETTING_LABELS:
-        if label not in groups:
-            raise MissingSettingError(f"missing setting {label!r}")
-    means = {}
-    errs = {}
-    for label in SETTING_LABELS:
-        means[label], errs[label] = estimate_correlation(groups[label])
+    _require_settings(groups)
+    return chsh_from_correlations(
+        {label: estimate_correlation(groups[label]) for label in SETTING_LABELS})
+
+
+def chsh_from_correlations(correlations) -> tuple:
+    """(S estimate, standard error) from each setting's (mean, standard
+    error), keyed by the four SETTING_LABELS; the errors combine in
+    quadrature.
+    """
+    _require_settings(correlations)
+    means = {label: correlations[label][0] for label in SETTING_LABELS}
+    errs = [correlations[label][1] for label in SETTING_LABELS]
     s = means["AB"] + means["A'B"] + means["AB'"] - means["A'B'"]
-    err = math.sqrt(sum(e * e for e in errs.values()))
-    return s, err
+    return s, math.sqrt(sum(e * e for e in errs))

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import importlib.util
@@ -14,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import biphoton
-from biphoton.cli import main
+from biphoton import montecarlo
+from biphoton.cli import build_parser, main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -89,12 +91,53 @@ def test_chsh_margin(capsys):
     assert env["results"]["difference"] < 1e-9
 
 
-def test_degrees_flag(capsys):
-    _, rad = run_json(capsys, ["correlation", str(math.pi / 2), str(math.pi / 2)])
-    _, deg = run_json(capsys, ["correlation", "90", "90", "--degrees"])
-    assert deg["results"]["correlation"] == rad["results"]["correlation"]
-    # parameters echo back identically after conversion and rounding
-    assert deg["parameters"]["psi1"] == rad["parameters"]["psi1"]
+#: argv per command that reads angles; each float is an angle in degrees
+DEGREES_ARGV = {
+    "probs": ["probs", 17.0, 63.0, "--alpha", "0.4"],
+    "correlation": ["correlation", 90.0, -33.5, "--eta", "0.8"],
+    "chsh": ["chsh", 0.0, 90.0, 45.0, 135.0, "--alpha", "0.2"],
+    "hom-scan": ["hom-scan", "--points", "7", "--start", -30.0, "--stop", 120.0,
+                 "--theta2", 20.0],
+    "sample": ["sample", 10.0, 100.0, 55.0, -35.0, "--n", "300", "--alpha", "0.6"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEGREES_ARGV))
+def test_degrees_flag(command, tmp_path, capsys):
+    # X --degrees prints what X prints given each angle in radians
+    argv = DEGREES_ARGV[command]
+    out = tmp_path / "events.csv"
+    extra = ["--out", str(out)] if command == "sample" else []
+    printed = []
+    for angles in ([str(a) for a in argv] + ["--degrees"],
+                   [repr(math.radians(a)) if isinstance(a, float) else a for a in argv]):
+        assert main(angles + extra) == 0
+        printed.append((capsys.readouterr().out, out.read_bytes() if extra else None))
+    assert printed[0] == printed[1]
+
+
+#: one argv per JSON command
+JSON_ARGV = {
+    "probs": ["probs", "0.3", "1.1"],
+    "correlation": ["correlation", "0.3", "1.1"],
+    "chsh": ["chsh", *IDEAL],
+    "optimize": ["optimize"],
+    "critical-eta": ["critical-eta", "--alpha", "1"],
+    "hom-scan": ["hom-scan", "--points", "3"],
+    "sample": ["sample", *IDEAL, "--n", "10", "--out", os.devnull],
+}
+
+
+def test_parameters_echo_every_argument_but_degrees(capsys):
+    parser = build_parser()
+    (subparsers,) = [a.choices for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    assert set(JSON_ARGV) == set(subparsers) - {"validate"}
+    for command, argv in JSON_ARGV.items():
+        dests = [a.dest for a in subparsers[command]._actions
+                 if a.dest not in ("help", "degrees")]
+        _, env = run_json(capsys, argv)
+        assert list(env["parameters"]) == dests, command
 
 
 def test_optimize_envelope(capsys):
@@ -259,6 +302,19 @@ def test_sample_matches_benchmark_golden(config, tmp_path, capsys):
     results = {k: v for k, v in env["results"].items() if k != "out"}
     digest = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
     assert digest == SAMPLE_RESULT_PINS[config]
+
+
+def test_sample_builds_one_histogram_per_setting(monkeypatch, capsys):
+    sizes = []
+    real = montecarlo.EventBatch.counts
+
+    def counts(batch):
+        sizes.append(len(batch))
+        return real(batch)
+
+    monkeypatch.setattr(montecarlo.EventBatch, "counts", counts)
+    assert main(["sample", *IDEAL, "--n", "100", "--out", os.devnull]) == 0
+    assert sizes == [100] * 4
 
 
 def test_sample_run_does_not_import_numpy_ma(tmp_path):

@@ -233,8 +233,14 @@ BAD_ROWS = {
 @pytest.mark.parametrize("name", sorted(BAD_ROWS))
 def test_out_of_range_rows_raise(name, tmp_path):
     batch = hand_batch(*BAD_ROWS[name])
-    with pytest.raises(ValueError):
-        batch.to_csv(tmp_path / "events.csv")
+    # a bad batch neither creates a file nor touches an existing one
+    fresh, existing = tmp_path / "fresh.csv", tmp_path / "existing.csv"
+    existing.write_bytes(b"index\n0\n")
+    for path in (fresh, existing):
+        with pytest.raises(ValueError):
+            batch.to_csv(path)
+    assert not fresh.exists()
+    assert existing.read_bytes() == b"index\n0\n"
     with pytest.raises(ValueError):
         batch.counts()
     with pytest.raises(ValueError):
