@@ -29,12 +29,10 @@ from .fock import (
     DETECTED_MODES,
     FockState,
     ModeId,
-    NotNormalizedError,
     OccupationVector,
     PhotonCapacityError,
     create,
     norm,
-    probability_of,
     states_allclose,
     vacuum,
 )
@@ -52,13 +50,10 @@ from .montecarlo import (
 from .optics import (
     ExperimentConfig,
     ModeTransform,
-    UnknownModeError,
     apply,
     beamsplitter_5050,
     build_experiment_state,
-    loss_channel,
     network_matrix,
-    polarizer_rotation,
 )
 from .optimize import (
     OptimizationResult,

@@ -6,12 +6,15 @@ tables and event sets can be exported as CSV instead.  Angles are read
 as radians unless --degrees is given.  ``parameters`` echoes every
 parsed argument except --degrees, with angles in radians.  Exit codes:
 0 success, 1 failed validation or runtime failure, 2 usage errors (bad
-flags, out-of-range parameters).
+flags, out-of-range parameters).  A reader that closes stdout early, as
+``| head`` does, ends the command with exit 1 and nothing on stderr.
 """
 
 import argparse
 import json
 import math
+import os
+import re
 import sys
 from dataclasses import asdict
 
@@ -87,6 +90,15 @@ def _finite(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads '-' or '-.' and a digit, and what follows, as a value: some
+    Pythons' argparse takes a number like -1e-3 for an unknown option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
 
 def _print_csv(rows) -> None:
@@ -212,6 +224,8 @@ def cmd_sample(args) -> int:
         model=model,
         settings=_parse_settings(args),
     )
+    # fail on an unwritable --out before the draw; "a" never truncates a file
+    open(args.out, "a").close()
     events = sample_events(cfg)
     events.to_csv(args.out)
     groups = events.split_by_setting()
@@ -235,7 +249,7 @@ def cmd_validate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="biphoton",
         description="Two-photon interferometer statistics, CHSH analysis and sampling",
     )
@@ -327,7 +341,14 @@ def main(argv=None) -> int:
             if hasattr(args, name):
                 setattr(args, name, math.radians(getattr(args, name)))
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early, as `| head` does: stop quietly, and
+        # point stdout at /dev/null so that the flush at exit cannot fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

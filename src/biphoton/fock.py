@@ -18,19 +18,12 @@ from dataclasses import dataclass
 #: amplitudes at or below this magnitude are dropped when states are built
 PRUNE_TOLERANCE = 1e-15
 
-#: probability queries require the state norm to sit this close to 1
-NORM_TOLERANCE = 1e-9
-
 #: hard cap on the total photon number across all modes
 MAX_PHOTONS = 2
 
 
 class PhotonCapacityError(ValueError):
     """Raised when an operation would push the photon number past the cap."""
-
-
-class NotNormalizedError(ValueError):
-    """Raised when a Born-rule query is made on a state whose norm is not 1."""
 
 
 _BEAM_ORDER = {"a1": 0, "a2": 1, "c": 2, "d": 3}
@@ -64,13 +57,6 @@ class ModeId:
     def station(self) -> int:
         """Station index, 1 or 2, that owns this beam."""
         return 1 if self.beam in ("a1", "c") else 2
-
-    @property
-    def detected_mode(self) -> "ModeId":
-        """The detected mode a loss ancilla belongs to (itself if detected)."""
-        if not self.lost:
-            return self
-        return ModeId(self.beam, self.channel)
 
     def sort_key(self):
         # detected modes sort before ancillas so kets render detector-first
@@ -244,17 +230,6 @@ def create(state: FockState, mode: ModeId) -> FockState:
 def norm(state: FockState) -> float:
     """Euclidean norm; 0 for the empty expansion."""
     return math.sqrt(sum(abs(a) ** 2 for a in state.terms.values()))
-
-
-def probability_of(state: FockState, occ: OccupationVector) -> float:
-    """Born-rule probability of finding exactly the occupation ``occ``.
-
-    The state must be normalized within NORM_TOLERANCE.
-    """
-    n = norm(state)
-    if abs(n - 1.0) > NORM_TOLERANCE:
-        raise NotNormalizedError(f"state norm {n!r} is not 1")
-    return abs(state.amplitude(occ)) ** 2
 
 
 def states_allclose(s1: FockState, s2: FockState, tol: float = 1e-12) -> bool:

@@ -129,10 +129,6 @@ class EventBatch:
             self.obs1[key], self.obs2[key],
         )
 
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
-
     def split_by_setting(self) -> dict:
         """One sub-batch per label, in SETTING_LABELS order.
 

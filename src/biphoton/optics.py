@@ -1,13 +1,13 @@
 """Linear-optics transforms and the interferometer pipeline.
 
-Every element is a linear map on creation operators,
+Every stage is a linear map on creation operators,
 
     a_i^dag  ->  sum_j u[i, j] b_j^dag,
 
-applied term by term to a sparse Fock state.  The rows of ``u`` are
-orthonormal (an isometry), which keeps the state norm fixed; a lossy
-element becomes an isometry by carrying an explicit ancilla mode for the
-undetected photon.
+applied term by term to a sparse Fock state whose occupied modes are all
+inputs of the stage.  The rows of ``u`` are orthonormal (an isometry),
+which keeps the state norm fixed; the loss stage becomes an isometry by
+carrying an explicit ancilla mode for each undetected photon.
 
 The pipeline runs in three stages, each one checked ``ModeTransform``
 over every mode the stage before it outputs.  First a symmetric
@@ -29,13 +29,12 @@ block-diagonal stage,
 
 A block-diagonal stage's Gram matrix is the block-diagonal of its
 blocks' Gram matrices, so its one isometry check holds every analyzer
-and every loss channel to UNITARY_TOLERANCE.  ``polarizer_rotation`` and
-``loss_channel`` build the single elements from the same blocks.
+and every loss channel to UNITARY_TOLERANCE.
 
-``ExperimentConfig.elements`` lists the stages once.
-``build_experiment_state`` runs them on the sparse Fock state;
-``network_matrix`` multiplies them into one 2 x 8 matrix taking the two
-source modes to the detected modes and their loss twins.
+``ExperimentConfig.elements`` lists the stages once, and is the only
+way to build them.  ``build_experiment_state`` runs them on the sparse
+Fock state; ``network_matrix`` multiplies them into one 2 x 8 matrix
+taking the two source modes to the detected modes and their loss twins.
 """
 
 import functools
@@ -47,13 +46,9 @@ import numpy as np
 from .fock import (
     A1X,
     A2Y,
-    C_PAR,
-    C_PERP,
     C_X,
     C_Y,
     DETECTED_MODES,
-    D_PAR,
-    D_PERP,
     D_X,
     D_Y,
     FockState,
@@ -70,10 +65,6 @@ UNITARY_TOLERANCE = 1e-12
 NETWORK_MODES = DETECTED_MODES + tuple(
     ModeId(m.beam, m.channel, lost=True) for m in DETECTED_MODES
 )
-
-
-class UnknownModeError(ValueError):
-    """Raised when a pass-through mode collides with a transform output."""
 
 
 def check_eta(eta: float) -> None:
@@ -138,33 +129,6 @@ def _rotation(theta: float) -> np.ndarray:
     return np.array([[c, s], [s, -c]], dtype=complex)
 
 
-def _loss_row(eta: float) -> np.ndarray:
-    """Loss block [sqrt(1 - eta), sqrt(eta)]: onto the lost twin, then kept."""
-    return np.array([math.sqrt(1.0 - eta), math.sqrt(eta)], dtype=complex)
-
-
-def polarizer_rotation(station: int, theta: float) -> ModeTransform:
-    """Two-channel analyzer at ``station`` rotated by ``theta`` radians."""
-    if station == 1:
-        inputs, outputs = (C_X, C_Y), (C_PAR, C_PERP)
-    elif station == 2:
-        inputs, outputs = (D_X, D_Y), (D_PAR, D_PERP)
-    else:
-        raise ValueError(f"station must be 1 or 2, got {station!r}")
-    return ModeTransform(inputs, outputs, _rotation(theta))
-
-
-def loss_channel(mode: ModeId, eta: float) -> ModeTransform:
-    """Detector loss on ``mode`` with transmission probability ``eta``.
-
-    The reflected photon lands in the lost twin of ``mode``, so the map
-    stays an isometry and the state stays pure.
-    """
-    check_eta(eta)
-    lost = ModeId(mode.beam, mode.channel, lost=True)
-    return ModeTransform((mode,), (lost, mode), _loss_row(eta)[np.newaxis])
-
-
 def _analyzer_stage(theta1: float, theta2: float) -> ModeTransform:
     """Both analyzers as one stage, in the beamsplitter's output order."""
     u = np.zeros((4, 4), dtype=complex)
@@ -175,24 +139,23 @@ def _analyzer_stage(theta1: float, theta2: float) -> ModeTransform:
 
 def _loss_stage(eta: float) -> ModeTransform:
     """One loss channel per detected mode as one stage onto NETWORK_MODES."""
-    lost, kept = _loss_row(eta)
     eye = np.eye(len(DETECTED_MODES))
     return ModeTransform(DETECTED_MODES, NETWORK_MODES,
-                         np.hstack([kept * eye, lost * eye]))
+                         np.hstack([math.sqrt(eta) * eye, math.sqrt(1.0 - eta) * eye]))
 
 
 def apply(transform: ModeTransform, state: FockState) -> FockState:
     """Apply ``transform`` to every term of ``state``.
 
-    Modes that are not inputs of the transform pass through unchanged.
-    A pass-through mode that is also one of the transform's outputs
-    would silently alias freshly created photons, so that case raises
-    UnknownModeError.
+    Every occupied mode must be one of the transform's inputs, as it is
+    when each stage of ``ExperimentConfig.elements`` takes the state the
+    stage before it made; any other occupied mode raises ValueError.
     """
-    index = {m: i for i, m in enumerate(transform.input_modes)}
     outputs = transform.output_modes
-    u = transform.matrix
-    out_set = set(outputs)
+    images = {
+        mode: [(outputs[j], w) for j, w in enumerate(row) if w != 0]
+        for mode, row in zip(transform.input_modes, transform.matrix)
+    }
 
     result: dict = {}
     for occ, amp in state.terms.items():
@@ -200,21 +163,11 @@ def apply(transform: ModeTransform, state: FockState) -> FockState:
         coeff = amp / math.sqrt(occ.factorial_product())
         expansion = {(): coeff}
         for mode in occ.modes_with_multiplicity():
-            if mode in index:
-                row = u[index[mode]]
-                images = [
-                    (outputs[j], row[j]) for j in range(len(outputs)) if row[j] != 0
-                ]
-            else:
-                if mode in out_set:
-                    raise UnknownModeError(
-                        f"occupied mode {mode} is an output of the transform "
-                        "but not one of its inputs"
-                    )
-                images = [(mode, 1.0 + 0j)]
+            if mode not in images:
+                raise ValueError(f"occupied mode {mode} is not an input of the transform")
             grown: dict = {}
             for monomial, c in expansion.items():
-                for target, w in images:
+                for target, w in images[mode]:
                     key = tuple(
                         sorted(monomial + (target,), key=ModeId.sort_key)
                     )

@@ -11,11 +11,11 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import biphoton
-from biphoton import montecarlo
+from biphoton import cli, montecarlo
 from biphoton.cli import build_parser, main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -335,12 +335,40 @@ def test_sample_run_does_not_import_numpy_ma(tmp_path):
     assert out.stdout.strip() == "False"
 
 
-def test_sample_io_error_exits_1(tmp_path, capsys):
+def test_sample_io_error_exits_1(tmp_path, monkeypatch, capsys):
+    # the unwritable path fails before a single event is drawn
+    draws = []
+    real = cli.sample_events
+    monkeypatch.setattr(cli, "sample_events", lambda cfg: draws.append(cfg) or real(cfg))
     code = main(
         ["sample", *IDEAL, "--n", "10", "--out", str(tmp_path / "no" / "dir.csv")]
     )
     assert code == 1
     assert "error:" in capsys.readouterr().err
+    assert draws == []
+    assert main(["sample", *IDEAL, "--n", "10", "--out", os.devnull]) == 0
+    assert len(draws) == 1
+
+
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+def test_closed_stdout_ends_quietly(fmt):
+    # far more than a pipe buffer holds, so the write after the close fails
+    src = str(Path(biphoton.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "from biphoton.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))"
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, "hom-scan", "--points", "5000", "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 def test_out_of_range_parameters_exit_2(capsys):
@@ -426,13 +454,42 @@ def float_argv(draw):
     for name in options:
         value = draw(st.none() | any_float)  # None keeps the default
         if value is not None:
-            argv.append(f"--{name}={value!r}")
+            argv += draw(st.sampled_from(
+                ([f"--{name}={value!r}"], [f"--{name}", repr(value)])
+            ))
     if command not in ("optimize", "critical-eta") and draw(st.booleans()):
         argv.append("--degrees")
-    if positionals:
-        # after "--", argparse takes "-1e-3" as a value rather than an option
-        argv += ["--", *(repr(draw(any_float)) for _ in range(positionals))]
+    argv += [repr(draw(any_float)) for _ in range(positionals)]
     return argv
+
+
+@given(
+    value=st.floats(max_value=-0.0, allow_infinity=False),
+    form=st.sampled_from(("{!r}", "{:e}", "{:E}", "{:_f}", "{:.0e}")),
+)
+@settings(max_examples=100, deadline=None)
+def test_negative_numbers_are_values_in_every_float_position(value, form):
+    # argparse's own pattern reads -1 and -.5 as numbers, but not -1e-3
+    text = form.format(value)
+    assume(math.isfinite(float(text)))  # "{:.0e}" rounds -1.8e308 up to -2e+308
+    parser = build_parser()
+    for command, (positionals, options, fixed) in FLOAT_ARGUMENTS.items():
+        argv = [command, *fixed, *positionals * [text]]
+        for name in options:
+            argv += [f"--{name}", text]
+        floats = [v for v in vars(parser.parse_args(argv)).values()
+                  if isinstance(v, float)]
+        assert floats == (positionals + len(options)) * [float(text)], argv
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["correlation", "-1e-3", "0"], "psi1"),
+    (["hom-scan", "--start", "-1e-3", "--points", "2"], "start"),
+])
+def test_negative_exponent_form_is_a_number(argv, name, capsys):
+    code, env = run_json(capsys, argv)
+    assert code == 0
+    assert env["parameters"][name] == -1e-3
 
 
 def _no_constant(name):

@@ -20,20 +20,16 @@ from biphoton.fock import (
     OccupationVector,
     create,
     norm,
-    states_allclose,
     vacuum,
 )
 from biphoton.optics import (
     NETWORK_MODES,
     ExperimentConfig,
     ModeTransform,
-    UnknownModeError,
     apply,
     beamsplitter_5050,
     build_experiment_state,
-    loss_channel,
     network_matrix,
-    polarizer_rotation,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -74,45 +70,35 @@ def test_beamsplitter_action_on_pair():
         assert abs(out.amplitude(occ) - ref) < 1e-15
 
 
-def test_polarizer_matrix_is_self_inverse():
-    u = polarizer_rotation(1, 0.7).matrix
-    assert np.max(np.abs(u @ u.T - np.eye(2))) < 1e-12
+def test_analyzer_stage_action():
+    theta1, theta2 = 0.3, -1.2
+    analyzers = ExperimentConfig(theta1, theta2, 0.6).elements()[1]
+    for x, y, par, perp, theta in ((C_X, C_Y, C_PAR, C_PERP, theta1),
+                                   (D_X, D_Y, D_PAR, D_PERP, theta2)):
+        c, s = math.cos(theta), math.sin(theta)
+        out = apply(analyzers, create(vacuum(), x))
+        assert abs(out.amplitude(OccupationVector.of(par)) - c) < 1e-15
+        assert abs(out.amplitude(OccupationVector.of(perp)) - s) < 1e-15
+        out = apply(analyzers, create(vacuum(), y))
+        assert abs(out.amplitude(OccupationVector.of(par)) - s) < 1e-15
+        assert abs(out.amplitude(OccupationVector.of(perp)) + c) < 1e-15
 
 
-def test_polarizer_action():
-    theta = 0.3
-    out = apply(polarizer_rotation(1, theta), create(vacuum(), C_X))
-    assert abs(out.amplitude(OccupationVector.of(C_PAR)) - math.cos(theta)) < 1e-15
-    assert abs(out.amplitude(OccupationVector.of(C_PERP)) - math.sin(theta)) < 1e-15
-    out = apply(polarizer_rotation(1, theta), create(vacuum(), C_Y))
-    assert abs(out.amplitude(OccupationVector.of(C_PAR)) - math.sin(theta)) < 1e-15
-    assert abs(out.amplitude(OccupationVector.of(C_PERP)) + math.cos(theta)) < 1e-15
-
-
-def test_polarizer_rejects_unknown_station():
-    with pytest.raises(ValueError):
-        polarizer_rotation(3, 0.1)
-
-
-def test_loss_channel_single_photon():
+@pytest.mark.parametrize("mode", DETECTED_MODES)
+def test_loss_stage_amplitudes(mode):
+    # sqrt(eta) |1> + sqrt(1-eta) |1_r> on one photon, and
+    # eta |2> + sqrt(2 eta (1-eta)) |1,1_r> + (1-eta) |2_r> on two
     eta = 0.81
-    out = apply(loss_channel(C_PAR, eta), create(vacuum(), C_PAR))
-    kept = OccupationVector.of(C_PAR)
-    gone = OccupationVector.of(ModeId("c", "par", lost=True))
-    assert abs(out.amplitude(kept) - math.sqrt(eta)) < 1e-15
-    assert abs(out.amplitude(gone) - math.sqrt(1.0 - eta)) < 1e-15
-
-
-def test_loss_channel_two_photons():
-    # eta |2> + sqrt(2 eta (1-eta)) |1,1_r> + (1-eta) |2_r>
-    eta = 0.81
-    state = FockState({OccupationVector.of(C_PAR, C_PAR): 1.0})
-    out = apply(loss_channel(C_PAR, eta), state)
-    r = ModeId("c", "par", lost=True)
-    assert abs(out.amplitude(OccupationVector.of(C_PAR, C_PAR)) - eta) < 1e-15
+    losses = ExperimentConfig(0.3, -1.2, eta).elements()[2]
+    r = ModeId(mode.beam, mode.channel, lost=True)
+    out = apply(losses, create(vacuum(), mode))
+    assert abs(out.amplitude(OccupationVector.of(mode)) - math.sqrt(eta)) < 1e-15
+    assert abs(out.amplitude(OccupationVector.of(r)) - math.sqrt(1.0 - eta)) < 1e-15
+    out = apply(losses, FockState({OccupationVector.of(mode, mode): 1.0}))
+    assert abs(out.amplitude(OccupationVector.of(mode, mode)) - eta) < 1e-15
     assert (
         abs(
-            out.amplitude(OccupationVector.of(C_PAR, r))
+            out.amplitude(OccupationVector.of(mode, r))
             - math.sqrt(2.0 * eta * (1.0 - eta))
         )
         < 1e-15
@@ -121,25 +107,13 @@ def test_loss_channel_two_photons():
     assert abs(norm(out) - 1.0) < 1e-15
 
 
-def test_loss_channel_validates_eta():
-    with pytest.raises(ValueError):
-        loss_channel(C_PAR, 0.0)
-    with pytest.raises(ValueError):
-        loss_channel(C_PAR, 1.2)
-
-
-def test_apply_passes_untouched_modes_through():
-    state = create(create(vacuum(), C_X), D_X)
-    out = apply(polarizer_rotation(1, 0.4), state)
-    # d-beam photon rides along unchanged
-    assert all(occ.count(D_X) == 1 for occ in out.terms)
-    assert abs(norm(out) - 1.0) < 1e-15
-
-
-def test_apply_rejects_output_mode_collision():
-    state = create(vacuum(), C_PAR)
-    with pytest.raises(UnknownModeError):
-        apply(polarizer_rotation(1, 0.4), state)
+def test_apply_rejects_a_mode_that_is_not_an_input():
+    bs, analyzers = ExperimentConfig(0.3, -1.2).elements()
+    # an output of the stage, and a mode the stage does not touch at all
+    for stage, mode in ((bs, C_X), (analyzers, C_PAR), (analyzers, A1X)):
+        state = create(create(vacuum(), stage.input_modes[0]), mode)
+        with pytest.raises(ValueError, match=f"occupied mode {mode} is not an input"):
+            apply(stage, state)
 
 
 def test_transform_construction_rejects_non_isometry():
@@ -166,13 +140,6 @@ def test_random_unitary_preserves_norm():
         before = norm(raw)
         after = norm(apply(t, raw))
         assert abs(before - after) < 1e-12
-
-
-def test_analyzer_order_does_not_matter():
-    base = apply(beamsplitter_5050(), create(create(vacuum(), A1X), A2Y))
-    p1 = polarizer_rotation(1, 0.37)
-    p2 = polarizer_rotation(2, 1.91)
-    assert states_allclose(apply(p2, apply(p1, base)), apply(p1, apply(p2, base)), 1e-12)
 
 
 def test_experiment_state_spot_amplitudes():
@@ -204,15 +171,6 @@ def test_experiment_state_with_loss_keeps_norm():
     assert len(ExperimentConfig(0.9, 2.2).elements()) == 2
 
 
-def test_loss_channel_is_inert_at_unit_efficiency():
-    # the eta = 1 channel, never in the pipeline, would leave ancillas empty
-    bare = build_experiment_state(ExperimentConfig(0.9, 2.2))
-    same = bare
-    for mode in DETECTED_MODES:
-        same = apply(loss_channel(mode, 1.0), same)
-    assert states_allclose(same, bare, 1e-12)
-
-
 def test_config_validates_eta():
     with pytest.raises(ValueError):
         ExperimentConfig(0.0, 0.0, eta=0.0)
@@ -230,31 +188,17 @@ def test_network_matrix_is_an_isometry(eta):
     assert np.all(u[:, 4:] == 0) == (eta == 1.0)
 
 
-def _placed(stage, elements):
-    """The elements' matrices placed on the stage's mode lists, 0 elsewhere."""
-    u = np.zeros_like(stage.matrix)
-    for t in elements:
-        rows = [stage.input_modes.index(m) for m in t.input_modes]
-        cols = [stage.output_modes.index(m) for m in t.output_modes]
-        u[np.ix_(rows, cols)] = t.matrix
-    return u
-
-
 @pytest.mark.parametrize(
     "theta1, theta2, eta",
     ((0.37, 1.91, 0.35), (-9.5, 13.0, 0.999), (math.pi / 4.0, -0.6, 1e-3)),
 )
-def test_stages_are_their_element_factories_bit_for_bit(theta1, theta2, eta):
+def test_stages_chain_mode_for_mode(theta1, theta2, eta):
     bs, analyzers, losses = ExperimentConfig(theta1, theta2, eta).elements()
     assert bs is beamsplitter_5050()
     assert analyzers.input_modes == bs.output_modes
     assert analyzers.output_modes == losses.input_modes == DETECTED_MODES
     assert losses.output_modes == NETWORK_MODES
-    rotations = [polarizer_rotation(1, theta1), polarizer_rotation(2, theta2)]
-    channels = [loss_channel(m, eta) for m in DETECTED_MODES]
-    # bytes, so signed zeros and the last bit count
-    assert _placed(analyzers, rotations).tobytes() == analyzers.matrix.tobytes()
-    assert _placed(losses, channels).tobytes() == losses.matrix.tobytes()
+    # eta < 1 appends the loss stage and changes no earlier one, to the bit
     lossless = ExperimentConfig(theta1, theta2).elements()
     assert [t.matrix.tobytes() for t in lossless] == [
         bs.matrix.tobytes(), analyzers.matrix.tobytes()
