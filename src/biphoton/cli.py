@@ -224,8 +224,13 @@ def cmd_sample(args) -> int:
         model=model,
         settings=_parse_settings(args),
     )
-    # fail on an unwritable --out before the draw; "a" never truncates a file
-    open(args.out, "a").close()
+    # fail on an unwritable --out before the draw, leaving no new file for
+    # to_csv to truncate: ext4 writes a truncated file to disk at close
+    try:
+        open(args.out, "x").close()
+        os.remove(args.out)
+    except FileExistsError:
+        open(args.out, "a").close()
     events = sample_events(cfg)
     events.to_csv(args.out)
     groups = events.split_by_setting()

@@ -350,6 +350,23 @@ def test_sample_io_error_exits_1(tmp_path, monkeypatch, capsys):
     assert len(draws) == 1
 
 
+def test_sample_leaves_no_file_before_the_draw(tmp_path, monkeypatch, capsys):
+    # the --out check removes a file it made, so that to_csv creates the file
+    # rather than truncating it: ext4 writes a truncated file to disk at close
+    fresh, old = tmp_path / "fresh.csv", tmp_path / "old.csv"
+    old.write_text("old\n")
+    seen = []
+    real = cli.sample_events
+    monkeypatch.setattr(
+        cli, "sample_events",
+        lambda cfg: seen.append((fresh.exists(), old.read_text())) or real(cfg),
+    )
+    for out in (fresh, old):
+        assert main(["sample", *IDEAL, "--n", "10", "--out", str(out)]) == 0
+    assert seen == [(False, "old\n"), (True, "old\n")]
+    assert fresh.read_text() == old.read_text() != "old\n"
+
+
 @pytest.mark.parametrize("fmt", ("csv", "json"))
 def test_closed_stdout_ends_quietly(fmt):
     # far more than a pipe buffer holds, so the write after the close fails
