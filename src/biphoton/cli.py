@@ -11,6 +11,7 @@ flags, out-of-range parameters).  A reader that closes stdout early, as
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -338,9 +339,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every main call in this process, built on the first:
+    building it costs far more than most commands.  Its handlers look up
+    the functions they call at call time, so rebinding those still works.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if getattr(args, "degrees", False):
         for name in ANGLES:
             if hasattr(args, name):

@@ -7,8 +7,16 @@ alpha = 1; recognition errors are then applied per event and per station
 with one independent stream per (seed, setting index, chunk index), so
 for a fixed CHUNK_SIZE the output is reproducible bit for bit.  Changing
 CHUNK_SIZE changes every event after the first chunk of each setting.
-Each event consumes three uniforms: cell choice, station-1 relabel,
-station-2 relabel; the raw stream therefore does not depend on alpha.
+
+Each event consumes three Philox words, one row of each per chunk, in
+the order cell, station-1 relabel, station-2 relabel; the raw stream
+therefore does not depend on alpha.  A word x stands for the uniform
+u = (x >> 11) * 2**-53, which is numpy's Generator.random() of it.  The
+cell is the number of cumulative-table entries at most u, read from a
+guide table over the leading GUIDE_BITS of x (Chen & Asau, 1974); the
+few words whose bucket a cell edge cuts fall back to an exact
+searchsorted on u.  At alpha = 1 the relabel words are not drawn: each
+chunk has its own stream, so no byte of the output changes.
 """
 
 import itertools
@@ -26,6 +34,12 @@ CHUNK_SIZE = 1 << 16
 
 #: rows formatted per write in EventBatch.to_csv
 CSV_CHUNK = 1 << 12
+
+#: leading bits of a Philox word that pick its bucket in the guide table
+GUIDE_BITS = 10
+
+#: guide-table entry of a bucket that a cell edge cuts
+STRADDLES = 255
 
 
 class EmptyEventsError(ValueError):
@@ -161,8 +175,10 @@ class EventBatch:
         """code*6**4 + (raw1-1)*6**3 + (raw2-1)*6**2 + (obs1-1)*6 + (obs2-1)
         for each row in ``rows``, of a batch that passed ``_check_rows``.
         """
-        # intp before any arithmetic: the columns are uint8
-        key = self.setting_codes[rows].astype(np.intp)
+        # before any arithmetic, as the columns are uint8: the narrowest dtype
+        # that holds len(labels) * 6**4, the largest value before a last - 1;
+        # uint16 serves up to 50 labels
+        key = self.setting_codes[rows].astype(np.min_scalar_type(len(self.labels) * 6**4))
         for name in ("raw1", "raw2", "obs1", "obs2"):
             key *= 6
             key += getattr(self, name)[rows]
@@ -202,39 +218,79 @@ class EventBatch:
                 fh.write("".join([f"{i},{tails[k]}" for i, k in enumerate(keys, start)]))
 
 
-def _stream(seed: int, setting_index: int, chunk_index: int) -> np.random.Generator:
+def _philox(seed: int, setting_index: int, chunk_index: int) -> np.random.Philox:
     seq = np.random.SeedSequence(entropy=int(seed),
                                  spawn_key=(setting_index, chunk_index))
-    return np.random.Generator(np.random.Philox(seq))
+    return np.random.Philox(seq)
+
+
+def _guide_table(cum) -> np.ndarray:
+    """Cell of the uniforms in each bucket [j, j + 1) / 2**GUIDE_BITS, or
+    STRADDLES where a cell edge of ``cum`` falls inside the bucket.
+
+    A bucket's cell is count(cum <= u) for every u in it when that count is
+    the same at its lower edge and just below its upper edge.
+    """
+    edges = np.arange(2**GUIDE_BITS + 1) / 2**GUIDE_BITS
+    first = np.searchsorted(cum, edges[:-1], side="right")
+    last = np.searchsorted(cum, edges[1:], side="left")
+    return np.where(first == last, first, STRADDLES).astype(np.uint8)
+
+
+def _draw_cells(bits, cum, guide, bucket) -> np.ndarray:
+    """Cell of each of len(bucket) words drawn from ``bits``: the number of
+    ``cum`` entries at most u = (x >> 11) * 2**-53, which is numpy's own
+    Generator.random() of the word x.  ``bucket`` is scratch space.
+    """
+    x = bits.random_raw(len(bucket))
+    # j / 2**GUIDE_BITS <= u < (j + 1) / 2**GUIDE_BITS for the leading bits j
+    np.right_shift(x, 64 - GUIDE_BITS, out=bucket, casting="unsafe")
+    cell = guide[bucket]
+    straddling = np.flatnonzero(cell == STRADDLES)
+    cell[straddling] = np.searchsorted(cum, (x[straddling] >> 11) * 2.0**-53,
+                                       side="right")
+    return cell
 
 
 def sample_events(cfg: SamplerConfig) -> EventBatch:
     """Draw n_per_setting events for each of the four CHSH settings."""
     n = int(cfg.n_per_setting)
-    alpha = cfg.model.alpha
+    # a relabel word's uniform u = (x >> 11) * 2**-53 is below 1 - alpha
+    # exactly when (x >> 11) < relabel_below, that is when x <= relabel_max;
+    # relabel_below is 0 only at alpha = 1, which draws no relabel words
+    relabel_below = math.ceil(float(1.0 - cfg.model.alpha) * 2.0**53)
+    relabel_max = (relabel_below << 11) - 1
     pairs = cfg.settings.pairs()
     codes = np.repeat(np.arange(len(pairs), dtype=np.uint8), n)
     raw1, raw2, obs1, obs2 = (np.empty(len(codes), dtype=np.uint8) for _ in range(4))
+    bucket = np.empty(min(n, CHUNK_SIZE), dtype=np.intp)
     for k, (_, psi) in enumerate(pairs):
         theta1, theta2 = psi.to_thetas()
         table = joint_table(theta1, theta2, cfg.model.eta)
         cum = np.cumsum(table.probs.reshape(36))
         # float roundoff must not leave a gap above the last cell
         cum[-1] = max(cum[-1], 1.0)
+        guide = _guide_table(cum)
         for chunk_index, start in enumerate(range(0, n, CHUNK_SIZE)):
             m = min(CHUNK_SIZE, n - start)
             rows = slice(k * n + start, k * n + start + m)
-            g = _stream(cfg.seed, k, chunk_index)
+            bits = _philox(cfg.seed, k, chunk_index)
             # the draw order (cell, station-1 relabel, station-2 relabel)
-            # fixes which uniform drives what, and so the output bytes
-            cell = np.searchsorted(cum, g.random(m), side="right").astype(np.uint8)
-            raw1[rows] = cell // 6 + 1
-            raw2[rows] = cell % 6 + 1
-            for raw, obs in ((raw1[rows], obs1[rows]), (raw2[rows], obs2[rows])):
-                relabel = g.random(m) < (1.0 - alpha)
-                obs[:] = raw
-                obs[(raw == 6) & relabel] = 1
-                obs[(raw == 5) & relabel] = 2
+            # fixes which word drives what, and so the output bytes
+            cell = _draw_cells(bits, cum, guide, bucket[:m])
+            r1, r2 = raw1[rows], raw2[rows]
+            np.floor_divide(cell, 6, out=r1)
+            np.multiply(r1, 6, out=r2)
+            np.subtract(cell, r2, out=r2)
+            r1 += 1
+            r2 += 1
+            for raw, obs in ((r1, obs1[rows]), (r2, obs2[rows])):
+                np.copyto(obs, raw)
+                if relabel_below:
+                    # class 6 becomes 1 and class 5 becomes 2
+                    relabel = bits.random_raw(m) <= relabel_max
+                    relabel &= raw >= 5
+                    np.subtract(7, raw, out=obs, where=relabel)
     return EventBatch(
         [label for label, _ in pairs],
         [psi.psi1 for _, psi in pairs],

@@ -538,6 +538,36 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
 
 
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    try:
+        for _ in range(2):
+            assert main(["critical-eta", "--alpha", "1"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+
+
+def test_reused_parser_prints_the_same_bytes(capsys):
+    # a usage error after a success, and a success after a usage error,
+    # print what a parser of their own prints
+    argv, sha = JSON_PINS[7]
+    bad = ["probs", "0.1"]
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(bad)
+    usage = capsys.readouterr().err
+    assert "error:" in usage
+    for _ in range(2):
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == usage
+
+
 def test_validate_passes_and_reports(capsys):
     code = main(["validate"])
     out = capsys.readouterr().out

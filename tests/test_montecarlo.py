@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import biphoton.montecarlo as mc
 from biphoton import selftest
 from biphoton.bell import SETTING_LABELS, ChshSettings, PsiAngles, chsh
-from biphoton.detection import DetectorModel, joint_table
+from biphoton.detection import DEFAULT_ASSIGNMENT, DetectorModel, joint_table
 from biphoton.montecarlo import (
     EmptyEventsError,
     EventBatch,
@@ -220,6 +222,40 @@ def test_counts_equal_an_add_at_histogram(chunk, monkeypatch):
         assert np.array_equal(counts, ref)
 
 
+def many_label_batch(n_labels, rows=3000):
+    """A hand-built batch over n_labels settings; its last row has the
+    largest code and class 6 everywhere, so the largest key."""
+    rng = np.random.default_rng(n_labels)
+    codes = rng.integers(0, n_labels, rows)
+    codes[-1] = n_labels - 1
+    classes = rng.integers(1, 7, (4, rows))
+    classes[:, -1] = 6
+    return EventBatch([f"S{c}" for c in range(n_labels)],
+                      [0.1 * c for c in range(n_labels)],
+                      [-0.3 * c for c in range(n_labels)],
+                      codes.astype(np.uint8), *classes.astype(np.uint8))
+
+
+@pytest.mark.parametrize("n_labels, key_dtype",
+                         ((4, np.uint16), (50, np.uint16), (51, np.uint32)))
+def test_row_keys_of_many_labels(n_labels, key_dtype, tmp_path):
+    # 51 labels make keys up to 51 * 6**4 > 2**16, past what uint16 holds
+    b = many_label_batch(n_labels)
+    assert b._row_keys(slice(None)).dtype == key_dtype
+    ref = np.zeros((n_labels, 6, 6, 6, 6), dtype=np.int64)
+    np.add.at(ref, (b.setting_codes, b.raw1 - 1, b.raw2 - 1, b.obs1 - 1, b.obs2 - 1), 1)
+    assert np.array_equal(b.counts(), ref)
+    # the CSV bytes of a row-by-row writer
+    va = DEFAULT_ASSIGNMENT
+    lines = ["index,setting,psi1,psi2,raw1,raw2,obs1,obs2,a,b\n"]
+    for i, (c, r1, r2, o1, o2) in enumerate(zip(*(getattr(b, col).tolist()
+                                                  for col in COLUMNS))):
+        lines.append(f"{i},{b.labels[c]},{0.1 * c:.9g},{-0.3 * c:.9g},{r1},{r2},"
+                     f"{o1},{o2},{va.a[o1 - 1]},{va.b[o2 - 1]}\n")
+    b.to_csv(tmp_path / "events.csv")
+    assert (tmp_path / "events.csv").read_text() == "".join(lines)
+
+
 #: one bad class or code in row 1 of otherwise valid rows; unchecked, the
 #: first three alias other rows' keys and the last indexes past the row tails
 BAD_ROWS = {
@@ -265,8 +301,9 @@ def test_estimator_mean_is_the_exact_fraction():
 
 
 def test_chsh_estimate_memory_is_one_chunk_key():
-    # the largest temporary is one intp row key of CHUNK_SIZE rows, 0.5 MiB;
-    # per-event value columns and their float product would add 0.5 MiB each
+    # the largest temporary is bincount's intp copy of one chunk's uint16
+    # row key, 0.5 MiB; per-event value columns and their float product
+    # would add 0.5 MiB each
     groups = sample_events(CSV_PINS["above_chunk"][0]).split_by_setting()
     tracemalloc.start()
     try:
@@ -465,3 +502,154 @@ def test_chunked_sampling_is_chunk_size_invariant(monkeypatch):
     # chunk boundaries change which uniforms drive which event, so only
     # the per-stream prefix property holds: the first chunk agrees
     assert np.array_equal(full.raw1[:256], rechunked.raw1[:256])
+
+
+def philox_generator(seed, setting_index, chunk_index):
+    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(setting_index, chunk_index))
+    return np.random.Generator(np.random.Philox(seq))
+
+
+def oracle_draw(cfg, generator=philox_generator):
+    """The columns (codes, raw1, raw2, obs1, obs2) of the draw as first
+    written: three Generator.random() rows per chunk, the cell by
+    searchsorted over the cumulative table, the relabel by boolean masks.
+    """
+    n = int(cfg.n_per_setting)
+    alpha = cfg.model.alpha
+    pairs = cfg.settings.pairs()
+    codes = np.repeat(np.arange(len(pairs), dtype=np.uint8), n)
+    raw1, raw2, obs1, obs2 = (np.empty(len(codes), dtype=np.uint8) for _ in range(4))
+    for k, (_, psi) in enumerate(pairs):
+        theta1, theta2 = psi.to_thetas()
+        table = joint_table(theta1, theta2, cfg.model.eta)
+        cum = np.cumsum(table.probs.reshape(36))
+        # float roundoff must not leave a gap above the last cell
+        cum[-1] = max(cum[-1], 1.0)
+        for chunk_index, start in enumerate(range(0, n, mc.CHUNK_SIZE)):
+            m = min(mc.CHUNK_SIZE, n - start)
+            rows = slice(k * n + start, k * n + start + m)
+            g = generator(cfg.seed, k, chunk_index)
+            # the draw order (cell, station-1 relabel, station-2 relabel)
+            # fixes which uniform drives what, and so the output bytes
+            cell = np.searchsorted(cum, g.random(m), side="right").astype(np.uint8)
+            raw1[rows] = cell // 6 + 1
+            raw2[rows] = cell % 6 + 1
+            for raw, obs in ((raw1[rows], obs1[rows]), (raw2[rows], obs2[rows])):
+                relabel = g.random(m) < (1.0 - alpha)
+                obs[:] = raw
+                obs[(raw == 6) & relabel] = 1
+                obs[(raw == 5) & relabel] = 2
+    return codes, raw1, raw2, obs1, obs2
+
+
+#: psi = +-pi/2 puts an analyzer at theta = +-pi/4, where the cell edges
+#: are dyadic (0.25, 0.5, ...) and fall on guide-table bucket edges
+PSI = st.sampled_from((math.pi / 2, -math.pi / 2)) | st.floats(-2 * math.pi, 2 * math.pi)
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    n=(st.sampled_from((1, mc.CHUNK_SIZE - 1, mc.CHUNK_SIZE, mc.CHUNK_SIZE + 1))
+       | st.integers(1, 3000)),
+    alpha=st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0),
+    eta=st.just(1.0) | st.floats(0.0, 1.0, exclude_min=True),
+    psi=st.tuples(PSI, PSI, PSI, PSI),
+)
+@example(seed=0, n=mc.CHUNK_SIZE + 1, alpha=0.5, eta=1.0, psi=(math.pi / 2,) * 4)
+@settings(max_examples=40, deadline=None)
+def test_draw_matches_the_searchsorted_oracle(seed, n, alpha, eta, psi):
+    cfg = SamplerConfig(seed, n, DetectorModel(alpha=alpha, eta=eta), ChshSettings(*psi))
+    batch = sample_events(cfg)
+    for name, want in zip(COLUMNS, oracle_draw(cfg)):
+        assert np.array_equal(getattr(batch, name), want), name
+
+
+class GivenWords:
+    """A stand-in bit generator, or Generator, that returns the given words
+    in turn, or their uniforms as Generator.random() would."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+
+    def random_raw(self, m):
+        out, self.words = self.words[:m], self.words[m:]
+        return out
+
+    def random(self, m):
+        return (self.random_raw(m) >> 11) * 2.0**-53
+
+
+def edge_words(cum):
+    """The words whose uniform is a cell edge of ``cum`` below 1, where it
+    is a multiple of 2**-53, and the words just below them."""
+    exact = [int(c * 2**53) << 11 for c in cum if c < 1.0 and (c * 2**53).is_integer()]
+    return exact + [w - 1 for w in exact if w]
+
+
+def assert_cells_are_searchsorted(cum, guide):
+    # the first and last word of every bucket, 0 and 2**64 - 1 among them,
+    # the words at the cell edges, and words drawn at random
+    words = ([j << 54 for j in range(1024)] + [((j + 1) << 54) - 1 for j in range(1024)]
+             + edge_words(cum)
+             + np.random.default_rng(8).integers(0, 2**64, 5000, dtype=np.uint64).tolist())
+    cells = mc._draw_cells(GivenWords(words), cum, guide, np.empty(len(words), dtype=np.intp))
+    u = (np.array(words, dtype=np.uint64) >> 11) * 2.0**-53
+    assert np.array_equal(cells, np.searchsorted(cum, u, side="right"))
+
+
+def test_guide_table_with_edges_on_bucket_edges():
+    # 35 edges j / 1024 (some repeated, so some cells are empty) and 1.0:
+    # no edge cuts a bucket, so the table alone gives every cell
+    edges = np.sort(np.random.default_rng(5).integers(0, 1025, 35)) / 1024
+    edges[:2] = 0.0
+    cum = np.append(edges, 1.0)
+    guide = mc._guide_table(cum)
+    assert not np.any(guide == mc.STRADDLES)
+    assert guide[0] == 2 and guide[-1] == np.count_nonzero(edges <= 1023 / 1024)
+    assert_cells_are_searchsorted(cum, guide)
+
+
+def test_guide_table_marks_the_buckets_an_edge_cuts():
+    # edges k / 36: those with 9 | k lie on a bucket edge, the rest cut one
+    cum = np.arange(1, 37) / 36
+    guide = mc._guide_table(cum)
+    scaled = cum[:-1] * 1024
+    cut = np.floor(scaled[scaled != np.floor(scaled)]).astype(int)
+    assert np.array_equal(np.flatnonzero(guide == mc.STRADDLES), cut)
+    assert_cells_are_searchsorted(cum, guide)
+
+
+@pytest.mark.parametrize("alpha", (0.0, 0.3, 0.5, 1.0 - 2**-40, 1.0))
+def test_draw_at_cell_and_relabel_edges_matches_the_oracle(alpha, monkeypatch):
+    # cell words at and just below each cell edge; relabel words at the
+    # largest word that relabels and the smallest that does not
+    cfg = SamplerConfig(0, 3000, DetectorModel(alpha=alpha, eta=0.9),
+                        ChshSettings(math.pi / 2, 0.3, -1.1, 2.0))
+    below = math.ceil((1.0 - alpha) * 2**53)
+    relabel = [max((below << 11) - 1, 0), min(below << 11, 2**64 - 1)]
+    words = []
+    for _, psi in cfg.settings.pairs():
+        cum = np.cumsum(joint_table(*psi.to_thetas(), 0.9).probs.reshape(36))
+        words.append(np.concatenate([np.resize(np.array(row, dtype=np.uint64), 3000)
+                                     for row in (edge_words(cum), relabel, relabel)]))
+
+    def given_words(seed, setting_index, chunk_index):
+        return GivenWords(words[setting_index])
+
+    monkeypatch.setattr(mc, "_philox", given_words)
+    batch = sample_events(cfg)
+    for name, want in zip(COLUMNS, oracle_draw(cfg, given_words)):
+        assert np.array_equal(getattr(batch, name), want), name
+    eligible = batch.raw1 >= 5
+    relabeled = batch.obs1 != batch.raw1
+    assert np.any(eligible & ~relabeled) == (alpha > 0.0)
+    assert np.any(relabeled) == (alpha < 1.0)
+
+
+def test_random_is_the_top_53_bits_of_a_philox_word():
+    # the draw reads raw Philox words and takes Generator.random() of a
+    # word x to be (x >> 11) * 2**-53; a numpy that draws otherwise fails here
+    seq = np.random.SeedSequence(entropy=2**64 - 1, spawn_key=(3, 1))
+    u = np.random.Generator(np.random.Philox(seq)).random(3000)
+    x = np.random.Philox(seq).random_raw(3000)
+    assert np.array_equal(u, (x >> 11) * 2.0**-53)
