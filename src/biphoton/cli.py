@@ -17,7 +17,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict
 
 from .bell import (
     ChshSettings,
@@ -150,10 +149,16 @@ def _parse_settings(args) -> ChshSettings:
     return ChshSettings(args.psi1, args.psi1_prime, args.psi2, args.psi2_prime)
 
 
+def _settings_dict(s: ChshSettings) -> dict:
+    """The four angles by field name, in field order."""
+    return {"psi1": s.psi1, "psi1_prime": s.psi1_prime,
+            "psi2": s.psi2, "psi2_prime": s.psi2_prime}
+
+
 def cmd_chsh(args) -> int:
     model = DetectorModel(alpha=args.alpha, eta=args.eta)
     settings = _parse_settings(args)
-    _doublable(**asdict(settings))
+    _doublable(**_settings_dict(settings))
     closed = chsh(settings, model)
     tabled = chsh(settings, model, method="table")
     _emit(args, {
@@ -170,7 +175,7 @@ def cmd_optimize(args) -> int:
     result = maximize_chsh(model, starts=args.starts)
     _emit(args, {
         "best_value": result.best_value,
-        "settings": asdict(result.settings),
+        "settings": _settings_dict(result.settings),
         "starts_used": result.starts_used,
         "converged": result.converged,
     })
@@ -189,7 +194,7 @@ def cmd_critical_eta(args) -> int:
     _emit(args, {
         "eta_critical": result.eta_critical,
         "bracket_width": result.bracket_width,
-        "settings_at_threshold": asdict(result.settings_at_threshold),
+        "settings_at_threshold": _settings_dict(result.settings_at_threshold),
         "reference": reference,
     })
     return 0

@@ -12,7 +12,7 @@ sqrt(2) until the caller normalizes.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 #: amplitudes at or below this magnitude are dropped when states are built
@@ -46,12 +46,23 @@ class ModeId:
     beam: str
     channel: str
     lost: bool = False
+    # the sort key, all bools and ints, and its hash: both are computed
+    # once, and neither depends on the interpreter's string-hash seed, so
+    # the hash a pickled mode carries stays valid in any process
+    _key: tuple = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.beam not in _BEAM_ORDER:
             raise ValueError(f"unknown beam {self.beam!r}")
         if self.channel not in _CHANNEL_ORDER:
             raise ValueError(f"unknown channel {self.channel!r}")
+        key = (self.lost, _BEAM_ORDER[self.beam], _CHANNEL_ORDER[self.channel])
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def station(self) -> int:
@@ -60,7 +71,7 @@ class ModeId:
 
     def sort_key(self):
         # detected modes sort before ancillas so kets render detector-first
-        return (self.lost, _BEAM_ORDER[self.beam], _CHANNEL_ORDER[self.channel])
+        return self._key
 
     @property
     def label(self) -> str:
@@ -96,6 +107,14 @@ class OccupationVector:
     """
 
     pairs: tuple = ()
+    # computed once from the modes' hashes, so it is as seed-free as theirs
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.pairs))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_counts(cls, counts) -> "OccupationVector":
@@ -103,7 +122,7 @@ class OccupationVector:
         for _, n in items:
             if n < 0:
                 raise ValueError("negative occupation")
-        items.sort(key=lambda p: p[0].sort_key())
+        items.sort(key=lambda p: p[0]._key)
         return cls(tuple(items))
 
     @classmethod

@@ -151,13 +151,19 @@ def apply(transform: ModeTransform, state: FockState) -> FockState:
     when each stage of ``ExperimentConfig.elements`` takes the state the
     stage before it made; any other occupied mode raises ValueError.
     """
-    outputs = transform.output_modes
+    # a monomial is the sorted tuple of its output modes' ranks, so the
+    # expansion sorts and hashes plain ints
+    ranked = sorted(transform.output_modes, key=ModeId.sort_key)
+    rank = {mode: r for r, mode in enumerate(ranked)}
+    column_rank = [rank[mode] for mode in transform.output_modes]
     images = {
-        mode: [(outputs[j], w) for j, w in enumerate(row) if w != 0]
-        for mode, row in zip(transform.input_modes, transform.matrix)
+        mode: [(column_rank[j], w) for j, w in enumerate(row) if w != 0]
+        for mode, row in zip(transform.input_modes, transform.matrix.tolist())
     }
 
     result: dict = {}
+    # each output monomial's ket and normalization, built once per call
+    kets: dict = {}
     for occ, amp in state.terms.items():
         # operator-product coefficient for the normalized ket
         coeff = amp / math.sqrt(occ.factorial_product())
@@ -168,15 +174,19 @@ def apply(transform: ModeTransform, state: FockState) -> FockState:
             grown: dict = {}
             for monomial, c in expansion.items():
                 for target, w in images[mode]:
-                    key = tuple(
-                        sorted(monomial + (target,), key=ModeId.sort_key)
-                    )
+                    key = tuple(sorted(monomial + (target,)))
                     grown[key] = grown.get(key, 0j) + c * w
             expansion = grown
         for monomial, c in expansion.items():
-            occ2 = OccupationVector.of(*monomial)
-            amp2 = c * math.sqrt(occ2.factorial_product())
-            result[occ2] = result.get(occ2, 0j) + amp2
+            if monomial not in kets:
+                counts: dict = {}
+                for r in monomial:
+                    counts[r] = counts.get(r, 0) + 1
+                # the ranks are sorted, so the pairs come out in canonical order
+                occ2 = OccupationVector(tuple((ranked[r], n) for r, n in counts.items()))
+                kets[monomial] = occ2, math.sqrt(occ2.factorial_product())
+            occ2, scale = kets[monomial]
+            result[occ2] = result.get(occ2, 0j) + c * scale
     return FockState(result)
 
 

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -575,3 +576,9 @@ def test_validate_passes_and_reports(capsys):
     lines = out.strip().splitlines()
     assert all(line.startswith("PASS") for line in lines[:-1])
     assert lines[-1].endswith("checks passed")
+
+
+def test_settings_dict_is_asdict_in_field_order():
+    settings = biphoton.ChshSettings(0.1, -2.0, 3e-9, 1e300)
+    out = cli._settings_dict(settings)
+    assert list(out.items()) == list(dataclasses.asdict(settings).items())

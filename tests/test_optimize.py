@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import biphoton
+from biphoton import bell, optimize, selftest
 from biphoton.bell import ChshSettings, chsh
 from biphoton.detection import DetectorModel
 from biphoton.optimize import (
@@ -16,7 +17,12 @@ from biphoton.optimize import (
     critical_efficiency,
     maximize_chsh,
 )
-from biphoton.selftest import check_random_search_never_beats_closed_form, random_search_chsh
+from biphoton.selftest import (
+    _chsh_batch,
+    _chsh_parts,
+    check_random_search_never_beats_closed_form,
+    random_search_chsh,
+)
 
 EXACT_THRESHOLD_IDEAL = 4.0 / (3.0 + math.sqrt(2.0))
 
@@ -79,8 +85,102 @@ def test_maximum_is_monotone_in_alpha():
 def test_random_search_never_beats_the_closed_form(alpha):
     model = DetectorModel(alpha, 0.93)
     best = maximize_chsh(model).best_value
-    found = random_search_chsh(model, 10**6, np.random.default_rng(int(alpha * 100)))
+    [found] = random_search_chsh([model], 10**6, np.random.default_rng(int(alpha * 100)))
     assert found <= best + 1e-12
+
+
+@pytest.mark.parametrize("eta", (1.0, 0.93, 0.6))
+@pytest.mark.parametrize("alpha", (0.0, 0.25, 0.5, 0.75, 1.0))
+def test_vectorized_chsh_matches_bell_chsh(alpha, eta):
+    model = DetectorModel(alpha, eta)
+    x = np.random.default_rng(int(100 * alpha + 1000 * eta)).uniform(
+        -2.0 * math.pi, 4.0 * math.pi, size=(4, 1000))
+    values = _chsh_batch(_chsh_parts(x), model)
+    assert values.shape == (1000,)
+    for row, value in zip(x.T, values):
+        assert abs(chsh(ChshSettings(*row), model) - value) < 1e-12
+
+
+class _RecordingRng:
+    """Hands out the draws of ``rng.uniform`` and keeps each one.
+
+    ``plant`` maps a chunk index to settings written into that chunk's
+    last row, which no spot check reads.
+    """
+
+    def __init__(self, rng, plant=None):
+        self.rng = rng
+        self.plant = plant or {}
+        self.draws = []
+
+    def uniform(self, *args, **kwargs):
+        x = self.rng.uniform(*args, **kwargs)
+        if len(self.draws) in self.plant:
+            x[:, -1] = self.plant[len(self.draws)]
+        self.draws.append(x)
+        return x
+
+
+def _record_search(monkeypatch, plant=None, lowered=()):
+    """Run validate's search with the rng and ``bell.chsh`` recorded.
+
+    The closed-form maximum of every alpha in ``lowered`` is reported
+    1e-9 too low, so the search fails there once it sees a setting
+    within 1e-9 of the true maximum.
+    """
+    rngs, spot = [], []
+    real_rng, real_chsh, real_maximize = selftest._rng, bell.chsh, optimize.maximize_chsh
+
+    def rng():
+        rngs.append(_RecordingRng(real_rng(), plant))
+        return rngs[-1]
+
+    def recorded_chsh(settings, model, *args, **kwargs):
+        spot.append((dataclasses.astuple(settings), model.alpha))
+        return real_chsh(settings, model, *args, **kwargs)
+
+    def maximize(model, *args, **kwargs):
+        result = real_maximize(model, *args, **kwargs)
+        if model.alpha in lowered:
+            result = dataclasses.replace(result, best_value=result.best_value - 1e-9)
+        return result
+
+    monkeypatch.setattr(selftest, "_rng", rng)
+    monkeypatch.setattr(bell, "chsh", recorded_chsh)
+    monkeypatch.setattr(optimize, "maximize_chsh", maximize)
+    check_random_search_never_beats_closed_form()
+    return rngs, spot
+
+
+VALIDATE_ALPHAS = (0.0, 0.5, 1.0)
+
+
+def test_validate_search_draws_once_and_spot_checks_every_chunk_at_every_alpha(monkeypatch):
+    rngs, spot = _record_search(monkeypatch)
+    [rng] = rngs
+    assert [x.shape for x in rng.draws] == [(4, selftest._SEARCH_CHUNK)] * 16
+    assert sum(x.shape[1] for x in rng.draws) == 2**16
+    for x in rng.draws:
+        rows = {tuple(col) for col in x.T}
+        for alpha in VALIDATE_ALPHAS:
+            checked = [s for s, a in spot if a == alpha and s in rows]
+            assert len(checked) == selftest._SPOT_CHECKS, alpha
+    assert len(spot) == 16 * len(VALIDATE_ALPHAS) * selftest._SPOT_CHECKS
+
+
+def test_validate_search_alone_stays_1e9_below_the_maximum(monkeypatch):
+    # the control for the planted test below: the random settings alone
+    # come nowhere near 1e-9 of the maximum
+    _record_search(monkeypatch, lowered=VALIDATE_ALPHAS)
+
+
+@pytest.mark.parametrize("chunk", (0, 15))
+@pytest.mark.parametrize("alpha", VALIDATE_ALPHAS)
+def test_validate_search_evaluates_every_alpha_on_the_first_and_last_chunk(monkeypatch, alpha, chunk):
+    top = dataclasses.astuple(maximize_chsh(DetectorModel(alpha)).settings)
+    with pytest.raises(AssertionError) as excinfo:
+        _record_search(monkeypatch, plant={chunk: top}, lowered=(alpha,))
+    assert excinfo.value.args[0][0] == alpha
 
 
 def test_random_search_memory_is_bounded_by_the_chunk():
