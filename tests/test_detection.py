@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biphoton import detection, optics
+from biphoton.bell import correlation_from_table
 from biphoton.detection import (
     DEFAULT_ASSIGNMENT,
     DetectorModel,
@@ -145,6 +146,25 @@ def test_table_bytes_are_pinned():
     for theta1, theta2, eta in grid:
         digest.update(joint_table(theta1, theta2, eta).probs.tobytes())
     assert digest.hexdigest() == TABLE_PIN
+
+
+#: sha256 over alpha in (1, 0.75, 0) and ``_pinned_grid()`` of the confused
+#: tables' ``probs.tobytes()``, and of ``repr`` of their correlations
+CONFUSION_PIN = "9360660e5df54647967521ebd834c1c32125560e7a81bb5f748ac1412793282a"
+CORRELATION_PIN = "3aa234296b1016006f1125565b7af321fd3dd3dde11df12768e4b37cc1c72286"
+
+
+def test_confused_table_and_correlation_bytes_are_pinned():
+    tables = hashlib.sha256()
+    correlations = hashlib.sha256()
+    grid = _pinned_grid()
+    for alpha in (1.0, 0.75, 0.0):
+        for theta1, theta2, eta in grid:
+            table = apply_alpha_confusion(joint_table(theta1, theta2, eta), alpha)
+            tables.update(table.probs.tobytes())
+            correlations.update(repr(correlation_from_table(table)).encode())
+    assert tables.hexdigest() == CONFUSION_PIN
+    assert correlations.hexdigest() == CORRELATION_PIN
 
 
 #: (theta1, theta2) for the dense-against-sparse table comparison
