@@ -9,9 +9,9 @@ inputs of the stage.  The rows of ``u`` are orthonormal (an isometry),
 which keeps the state norm fixed; the loss stage becomes an isometry by
 carrying an explicit ancilla mode for each undetected photon.
 
-The pipeline runs in three stages, each one checked ``ModeTransform``
-over every mode the stage before it outputs.  First a symmetric
-beamsplitter merges the parametric pair,
+The pipeline runs in three stages, each over every mode the stage
+before it outputs.  First a symmetric beamsplitter merges the
+parametric pair,
 
     a1x^dag -> (i cx^dag + dx^dag) / sqrt(2)
     a2y^dag -> (cy^dag + i dy^dag) / sqrt(2).
@@ -27,14 +27,25 @@ block-diagonal stage,
 
     t^dag -> sqrt(1 - eta) r^dag + sqrt(eta) t^dag.
 
-A block-diagonal stage's Gram matrix is the block-diagonal of its
-blocks' Gram matrices, so its one isometry check holds every analyzer
-and every loss channel to UNITARY_TOLERANCE.
+Each stage's matrix is stated once, and every one is held to
+UNITARY_TOLERANCE, each where it is cheapest:
 
-``ExperimentConfig.elements`` lists the stages once, and is the only
-way to build them.  ``build_experiment_state`` runs them on the sparse
-Fock state; ``network_matrix`` multiplies them into one 2 x 8 matrix
-taking the two source modes to the detected modes and their loss twins.
+- the beamsplitter is constant, so its full Gram check runs once, when
+  ``beamsplitter_5050`` first builds and caches it;
+- an analyzer block [[c, s], [s, -c]] and a loss channel's pair
+  (sqrt(eta), sqrt(1 - eta)) have rows orthogonal by construction, so
+  ``_analyzer_matrix`` and ``_loss_weights`` check only their one
+  remaining defect, |c^2 + s^2 - 1| or |r^2 + q^2 - 1|, on every call;
+- the mode lists are constants, so the chaining of the stages, each
+  taking exactly the modes the one before it outputs, is checked once
+  at import.
+
+``network_matrix`` multiplies those arrays into one 2 x 8 matrix taking
+the two source modes to the detected modes and their loss twins; it is
+the route ``detection.joint_table`` takes.  ``ExperimentConfig.elements``
+wraps the same arrays in ``ModeTransform``s, each of which runs the full
+Gram check again, and ``build_experiment_state`` runs them on the sparse
+Fock state, the independent reference for the dense route.
 """
 
 import functools
@@ -105,6 +116,43 @@ class ModeTransform:
         )
 
 
+#: each stage's (input modes, output modes): the beamsplitter merges the
+#: two source beams, the analyzers take its outputs onto the detected modes,
+#: and the loss channels add a loss twin per detected mode
+_BEAMSPLITTER_MODES = ((A1X, A2Y), (C_X, D_X, C_Y, D_Y))
+_ANALYZER_MODES = ((C_X, D_X, C_Y, D_Y), DETECTED_MODES)
+_LOSS_MODES = (DETECTED_MODES, NETWORK_MODES)
+
+
+def _check_chain(stages) -> None:
+    """Require each stage of ``stages`` (mode-list pairs, in order) to take
+    exactly the modes, in order, that the one before it outputs, starting
+    from the source modes and ending on a prefix of NETWORK_MODES."""
+    modes = (A1X, A2Y)
+    for inputs, outputs in stages:
+        if inputs != modes:
+            raise ValueError(f"stage inputs {inputs} do not chain onto the modes {modes}")
+        modes = outputs
+    if modes != NETWORK_MODES[:len(modes)]:
+        raise ValueError(f"pipeline ends on {modes}, not on the network modes")
+
+
+# the mode lists are constants, so both pipelines are chained once, here
+_check_chain((_BEAMSPLITTER_MODES, _ANALYZER_MODES))
+_check_chain((_BEAMSPLITTER_MODES, _ANALYZER_MODES, _LOSS_MODES))
+
+
+def _check_unit_pair(a: float, b: float, what: str) -> None:
+    """Require a^2 + b^2 = 1 within UNITARY_TOLERANCE for real a, b.
+
+    Rows (a, b) and (b, -a) of an analyzer block, and the row (a I, b I)
+    of the loss stage, are orthogonal exactly, so this one defect is
+    the whole Gram check of such a block.
+    """
+    if not abs(a * a + b * b - 1.0) <= UNITARY_TOLERANCE:
+        raise ValueError(f"{what} rows are not orthonormal")
+
+
 @functools.cache
 def beamsplitter_5050() -> ModeTransform:
     """Symmetric beamsplitter merging the two source beams.
@@ -120,28 +168,47 @@ def beamsplitter_5050() -> ModeTransform:
         ],
         dtype=complex,
     )
-    return ModeTransform((A1X, A2Y), (C_X, D_X, C_Y, D_Y), u)
+    return ModeTransform(*_BEAMSPLITTER_MODES, u)
 
 
-def _rotation(theta: float) -> np.ndarray:
-    """Analyzer block: rows x, y onto columns par, perp."""
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, s], [s, -c]], dtype=complex)
+def _analyzer_matrix(theta1: float, theta2: float) -> np.ndarray:
+    """Both analyzers as one 4 x 4 matrix over ``_ANALYZER_MODES``.
+
+    Rows C_X, C_Y go onto C_PAR, C_PERP through theta1's block
+    [[c, s], [s, -c]], rows D_X, D_Y onto D_PAR, D_PERP through theta2's.
+    """
+    c1, s1 = math.cos(theta1), math.sin(theta1)
+    c2, s2 = math.cos(theta2), math.sin(theta2)
+    _check_unit_pair(c1, s1, "analyzer")
+    _check_unit_pair(c2, s2, "analyzer")
+    return np.array(
+        [
+            [c1, s1, 0.0, 0.0],
+            [0.0, 0.0, c2, s2],
+            [s1, -c1, 0.0, 0.0],
+            [0.0, 0.0, s2, -c2],
+        ],
+        dtype=complex,
+    )
 
 
-def _analyzer_stage(theta1: float, theta2: float) -> ModeTransform:
-    """Both analyzers as one stage, in the beamsplitter's output order."""
-    u = np.zeros((4, 4), dtype=complex)
-    u[0::2, :2] = _rotation(theta1)  # rows C_X, C_Y onto C_PAR, C_PERP
-    u[1::2, 2:] = _rotation(theta2)  # rows D_X, D_Y onto D_PAR, D_PERP
-    return ModeTransform((C_X, D_X, C_Y, D_Y), DETECTED_MODES, u)
+def _loss_weights(eta: float) -> tuple:
+    """(sqrt(eta), sqrt(1 - eta)): a detected mode's amplitudes onto itself
+    and onto its loss twin."""
+    r, q = math.sqrt(eta), math.sqrt(1.0 - eta)
+    _check_unit_pair(r, q, "loss")
+    return r, q
 
 
-def _loss_stage(eta: float) -> ModeTransform:
-    """One loss channel per detected mode as one stage onto NETWORK_MODES."""
-    eye = np.eye(len(DETECTED_MODES))
-    return ModeTransform(DETECTED_MODES, NETWORK_MODES,
-                         np.hstack([math.sqrt(eta) * eye, math.sqrt(1.0 - eta) * eye]))
+#: the loss stage's pattern over ``_LOSS_MODES``: detected mode i goes onto
+#: column i (weight sqrt(eta)) and onto its twin i + 4 (weight sqrt(1 - eta))
+_LOSS_SUPPORT = np.hstack([np.eye(len(DETECTED_MODES))] * 2)
+
+
+def _loss_matrix(eta: float) -> np.ndarray:
+    """One loss channel per detected mode as one 4 x 8 matrix."""
+    r, q = _loss_weights(eta)
+    return _LOSS_SUPPORT * np.array((r,) * len(DETECTED_MODES) + (q,) * len(DETECTED_MODES))
 
 
 def apply(transform: ModeTransform, state: FockState) -> FockState:
@@ -199,14 +266,21 @@ class ExperimentConfig:
     eta: float = 1.0
 
     def __post_init__(self):
+        for name in ("theta1", "theta2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         check_eta(self.eta)
 
     def elements(self) -> list:
-        """The pipeline's stages in order, walked by both routes: the
-        beamsplitter, both analyzers and, when eta < 1, the loss channels."""
-        stages = [beamsplitter_5050(), _analyzer_stage(self.theta1, self.theta2)]
+        """The pipeline's stages in order, as checked ``ModeTransform``s for
+        the sparse route: the beamsplitter, both analyzers and, when
+        eta < 1, the loss channels."""
+        stages = [
+            beamsplitter_5050(),
+            ModeTransform(*_ANALYZER_MODES, _analyzer_matrix(self.theta1, self.theta2)),
+        ]
         if self.eta < 1.0:
-            stages.append(_loss_stage(self.eta))
+            stages.append(ModeTransform(*_LOSS_MODES, _loss_matrix(self.eta)))
         return stages
 
 
@@ -227,20 +301,16 @@ def network_matrix(cfg: ExperimentConfig) -> np.ndarray:
     """The pipeline of ``build_experiment_state`` as one 2 x 8 isometry.
 
     Row 0 is the image of a1x^dag and row 1 that of a2y^dag, over the
-    columns NETWORK_MODES.  It is the product of the matrices of
-    ``cfg.elements()``, each of which has passed its isometry check.  A
-    stage must take exactly the modes, in order, that the one before it
-    outputs, or ValueError is raised.  At eta = 1 the pipeline ends on
-    the detected modes and the loss-twin columns are zero.
+    columns NETWORK_MODES.  It is the product of the same stage matrices
+    ``cfg.elements()`` wraps, without the wrapping: the beamsplitter's
+    was checked when it was cached, the analyzers' and the loss
+    channels' are checked block by block as they are built, and the
+    stages were chained at import.  At eta = 1 the pipeline ends on the
+    detected modes and the loss-twin columns are zero.
     """
-    modes, u = (A1X, A2Y), np.eye(2, dtype=complex)
-    for t in cfg.elements():
-        if t.input_modes != modes:
-            raise ValueError(f"stage inputs {t.input_modes} do not chain "
-                             f"onto the modes {modes}")
-        modes, u = t.output_modes, u @ t.matrix
-    if modes != NETWORK_MODES[:len(modes)]:
-        raise ValueError(f"pipeline ends on {modes}, not on the network modes")
+    u = beamsplitter_5050().matrix @ _analyzer_matrix(cfg.theta1, cfg.theta2)
+    if cfg.eta < 1.0:
+        return u @ _loss_matrix(cfg.eta)
     out = np.zeros((2, len(NETWORK_MODES)), dtype=complex)
-    out[:, :len(modes)] = u
+    out[:, :len(DETECTED_MODES)] = u
     return out

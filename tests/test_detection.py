@@ -22,7 +22,12 @@ from biphoton.detection import (
     joint_table,
 )
 from biphoton.fock import C_PAR, C_PERP, C_X, D_PAR, D_PERP, ModeId, OccupationVector
-from biphoton.optics import NETWORK_MODES, ExperimentConfig, build_experiment_state
+from biphoton.optics import (
+    NETWORK_MODES,
+    ExperimentConfig,
+    build_experiment_state,
+    network_matrix,
+)
 from biphoton.selftest import table_from_state
 
 
@@ -73,6 +78,16 @@ def test_default_value_assignment():
         assert DEFAULT_ASSIGNMENT.value(outcome, 1) == 1
         assert DEFAULT_ASSIGNMENT.value(outcome, 2) == 1
     assert DEFAULT_ASSIGNMENT.value(StationOutcome.DOUBLE_MINUS, 2) == 1
+
+
+def test_value_vectors_are_read_only_copies():
+    values = ValueAssignment(a=(-1, 1, 1, 1, 1, -1), b=(1, -1, 1, 1, 1, 1))
+    for side, vector in zip((values.a, values.b), values.vectors):
+        assert vector.dtype == float and vector.tolist() == list(side)
+    # every correlation of the shared default contracts with these
+    for vector in DEFAULT_ASSIGNMENT.vectors:
+        with pytest.raises(ValueError):
+            vector[0] = 1.0
 
 
 def test_value_assignment_validation():
@@ -165,6 +180,47 @@ def test_confused_table_and_correlation_bytes_are_pinned():
             correlations.update(repr(correlation_from_table(table)).encode())
     assert tables.hexdigest() == CONFUSION_PIN
     assert correlations.hexdigest() == CORRELATION_PIN
+
+
+def test_network_matrix_is_the_product_of_the_sparse_stages():
+    for theta1, theta2, eta in _pinned_grid():
+        cfg = ExperimentConfig(theta1, theta2, eta)
+        u = np.eye(2, dtype=complex)
+        for stage in cfg.elements():
+            u = u @ stage.matrix
+        ref = np.zeros((2, len(NETWORK_MODES)), dtype=complex)
+        ref[:, :u.shape[1]] = u
+        assert network_matrix(cfg).tobytes() == ref.tobytes()
+
+
+def test_table_builds_no_mode_transform(monkeypatch):
+    optics.beamsplitter_5050()
+    built = []
+    check = optics.ModeTransform.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(optics.ModeTransform, "__post_init__", counted)
+    joint_table(0.3, 0.2)
+    joint_table(0.3, 0.2, 0.9)
+    assert built == []
+    # the sparse route still builds and checks its two per-call stages
+    ExperimentConfig(0.3, 0.2, 0.9).elements()
+    assert len(built) == 2
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+@pytest.mark.parametrize("name", ("theta1", "theta2"))
+@pytest.mark.parametrize("route", ("dense", "sparse"))
+def test_non_finite_angle_is_named(bad, name, route):
+    angles = {"theta1": 0.3, "theta2": 0.2, name: bad}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        if route == "dense":
+            joint_table(angles["theta1"], angles["theta2"], 0.9)
+        else:
+            build_experiment_state(ExperimentConfig(angles["theta1"], angles["theta2"], 0.9))
 
 
 #: (theta1, theta2) for the dense-against-sparse table comparison

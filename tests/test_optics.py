@@ -22,10 +22,17 @@ from biphoton.fock import (
     norm,
     vacuum,
 )
+from biphoton import optics
 from biphoton.optics import (
+    _ANALYZER_MODES,
+    _BEAMSPLITTER_MODES,
+    _LOSS_MODES,
     NETWORK_MODES,
     ExperimentConfig,
     ModeTransform,
+    _analyzer_matrix,
+    _check_chain,
+    _loss_weights,
     apply,
     beamsplitter_5050,
     build_experiment_state,
@@ -216,17 +223,55 @@ def test_stage_check_catches_one_bad_block(index, block):
         ModeTransform(stage.input_modes, stage.output_modes, u)
 
 
-def test_network_matrix_rejects_stages_that_do_not_chain(monkeypatch):
-    cfg = ExperimentConfig(0.4, -1.3, 0.7)
-    bs, analyzers, losses = cfg.elements()
+def test_chain_check_rejects_stages_that_do_not_chain():
+    bs, analyzers, losses = _BEAMSPLITTER_MODES, _ANALYZER_MODES, _LOSS_MODES
+    _check_chain([bs, analyzers])
+    _check_chain([bs, analyzers, losses])
     # the same four modes in another order would silently mix columns
-    reordered = ModeTransform(
-        (C_X, C_Y, D_X, D_Y), analyzers.output_modes, analyzers.matrix
-    )
+    reordered = ((C_X, C_Y, D_X, D_Y), analyzers[1])
     for stages in ([bs, losses], [analyzers, bs, losses], [bs, reordered, losses]):
-        monkeypatch.setattr(ExperimentConfig, "elements", lambda self: stages)
         with pytest.raises(ValueError, match="chain"):
-            network_matrix(cfg)
-    monkeypatch.setattr(ExperimentConfig, "elements", lambda self: [bs])
+            _check_chain(stages)
     with pytest.raises(ValueError, match="not on the network modes"):
-        network_matrix(cfg)
+        _check_chain([bs])
+
+
+class _MathScaledAt:
+    """``math`` with cos, sin and sqrt scaled by 1 + 1e-9 at one argument."""
+
+    def __init__(self, at):
+        self.at = at
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def _scaled(self, f, x):
+        return f(x) * (1.0 + 1e-9) if x == self.at else f(x)
+
+    def cos(self, x):
+        return self._scaled(math.cos, x)
+
+    def sin(self, x):
+        return self._scaled(math.sin, x)
+
+    def sqrt(self, x):
+        return self._scaled(math.sqrt, x)
+
+
+@pytest.mark.parametrize("at, build, args", (
+    (0.37, _analyzer_matrix, (0.37, 1.91)),
+    (1.91, _analyzer_matrix, (0.37, 1.91)),
+    (0.35, _loss_weights, (0.35,)),
+    (1.0 - 0.35, _loss_weights, (0.35,)),
+))
+def test_block_checks_catch_one_bad_block(monkeypatch, at, build, args):
+    # one analyzer block, or one loss amplitude, scaled off the isometry,
+    # is caught as the stage is built, on either route
+    cfg = ExperimentConfig(0.37, 1.91, 0.35)
+    beamsplitter_5050()
+    monkeypatch.setattr(optics, "math", _MathScaledAt(None))
+    network_matrix(cfg)
+    monkeypatch.setattr(optics, "math", _MathScaledAt(at))
+    for call in (lambda: build(*args), lambda: network_matrix(cfg), cfg.elements):
+        with pytest.raises(ValueError, match="orthonormal"):
+            call()
