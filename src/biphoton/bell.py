@@ -19,6 +19,8 @@ the two routes are kept independent so each checks the other.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .detection import (
     DEFAULT_ASSIGNMENT,
     DetectorModel,
@@ -107,7 +109,8 @@ def correlation_from_table(
     values: ValueAssignment = DEFAULT_ASSIGNMENT,
 ) -> float:
     """E = sum_ij a_i b_j p[i][j] over the full 6x6 table."""
-    a, b = values.vectors
+    a = np.asarray(values.a, dtype=float)
+    b = np.asarray(values.b, dtype=float)
     return float(a @ table.probs @ b)
 
 

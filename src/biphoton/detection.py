@@ -114,8 +114,7 @@ class ValueAssignment:
     """Dichotomic +/-1 value per outcome class, one tuple per station.
 
     The default assigns -1 only to a lone D- click (class 1) and +1 to
-    everything else, including no-click events.  ``vectors`` holds a and b
-    as read-only float arrays.
+    everything else, including no-click events.
     """
 
     a: tuple = (-1, 1, 1, 1, 1, 1)
@@ -125,11 +124,6 @@ class ValueAssignment:
         for side in (self.a, self.b):
             if len(side) != 6 or any(v not in (-1, 1) for v in side):
                 raise ValueError("values must be six entries of +/-1")
-        # built once here, not on every ``bell.correlation_from_table`` call
-        vectors = tuple(np.array(side, dtype=float) for side in (self.a, self.b))
-        for v in vectors:
-            v.flags.writeable = False
-        object.__setattr__(self, "vectors", vectors)
 
     def value(self, outcome: int, station: int) -> int:
         """The value of outcome class 1..6 at station 1 or 2."""
@@ -155,9 +149,10 @@ class JointProbabilityTable:
     alpha: float
 
     def __post_init__(self):
-        p = np.array(self.probs, dtype=float)
+        p = np.asarray(self.probs, dtype=float)
         if p.shape != (6, 6):
             raise ValueError("table must be 6x6")
+        p = p.copy()
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
 
@@ -227,9 +222,6 @@ def joint_table(theta1: float, theta2: float, eta: float = 1.0) -> JointProbabil
     return JointProbabilityTable(probs.reshape(6, 6), theta1, theta2, eta, 1.0)
 
 
-_EYE6 = np.eye(6)
-
-
 def apply_alpha_confusion(table: JointProbabilityTable, alpha: float) -> JointProbabilityTable:
     """Degrade double-click recognition on a table built at alpha = 1.
 
@@ -240,7 +232,7 @@ def apply_alpha_confusion(table: JointProbabilityTable, alpha: float) -> JointPr
     check_alpha(alpha)
     if table.alpha != 1.0:
         raise ValueError("confusion must start from an alpha = 1 table")
-    m = _EYE6.copy()
+    m = np.eye(6)
     m[0, 5] = 1.0 - alpha
     m[5, 5] = alpha
     m[1, 4] = 1.0 - alpha

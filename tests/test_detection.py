@@ -80,16 +80,6 @@ def test_default_value_assignment():
     assert DEFAULT_ASSIGNMENT.value(StationOutcome.DOUBLE_MINUS, 2) == 1
 
 
-def test_value_vectors_are_read_only_copies():
-    values = ValueAssignment(a=(-1, 1, 1, 1, 1, -1), b=(1, -1, 1, 1, 1, 1))
-    for side, vector in zip((values.a, values.b), values.vectors):
-        assert vector.dtype == float and vector.tolist() == list(side)
-    # every correlation of the shared default contracts with these
-    for vector in DEFAULT_ASSIGNMENT.vectors:
-        with pytest.raises(ValueError):
-            vector[0] = 1.0
-
-
 def test_value_assignment_validation():
     with pytest.raises(ValueError):
         ValueAssignment(a=(1, 1, 1), b=(-1, 1, 1, 1, 1, 1))
