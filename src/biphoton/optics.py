@@ -208,7 +208,8 @@ _LOSS_SUPPORT = np.hstack([np.eye(len(DETECTED_MODES))] * 2)
 def _loss_matrix(eta: float) -> np.ndarray:
     """One loss channel per detected mode as one 4 x 8 matrix."""
     r, q = _loss_weights(eta)
-    return _LOSS_SUPPORT * np.array((r,) * len(DETECTED_MODES) + (q,) * len(DETECTED_MODES))
+    n = len(DETECTED_MODES)
+    return _LOSS_SUPPORT * np.array((r,) * n + (q,) * n)
 
 
 def apply(transform: ModeTransform, state: FockState) -> FockState:
@@ -266,9 +267,9 @@ class ExperimentConfig:
     eta: float = 1.0
 
     def __post_init__(self):
-        for name in ("theta1", "theta2"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        for name, value in (("theta1", self.theta1), ("theta2", self.theta2)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         check_eta(self.eta)
 
     def elements(self) -> list:

@@ -206,11 +206,12 @@ def test_table_builds_no_mode_transform(monkeypatch):
 @pytest.mark.parametrize("route", ("dense", "sparse"))
 def test_non_finite_angle_is_named(bad, name, route):
     angles = {"theta1": 0.3, "theta2": 0.2, name: bad}
+    if route == "dense":
+        build = joint_table
+    else:
+        build = lambda *args: build_experiment_state(ExperimentConfig(*args))
     with pytest.raises(ValueError, match=f"{name} must be finite"):
-        if route == "dense":
-            joint_table(angles["theta1"], angles["theta2"], 0.9)
-        else:
-            build_experiment_state(ExperimentConfig(angles["theta1"], angles["theta2"], 0.9))
+        build(angles["theta1"], angles["theta2"], 0.9)
 
 
 #: (theta1, theta2) for the dense-against-sparse table comparison
