@@ -10,10 +10,12 @@ ideal case:
 
 with detector efficiency folding in as
 
-    E(eta) = eta^2 E(1) + (1 - eta)^2.
+    E(eta) = eta^2 E(1) + (1 - eta)^2,
 
-Both identities are also available through the explicit joint table, and
-the two routes are kept independent so each checks the other.
+as the loss channel L (``detection.loss_channel``) maps the default values
+to L^T a = (1 - 2 eta, 1, 1, eta^2 + (1 - eta)^2, 1, (1 - 2 eta)^2).  Both
+identities are also available through the explicit joint table, and the
+two routes are kept independent so each checks the other.
 """
 
 import math

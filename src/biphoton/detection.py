@@ -11,10 +11,10 @@ record (n+, n-) falls into six classes:
     5: (2, 0)   both photons on D+
     6: (0, 2)   both photons on D-
 
-Imperfections are modeled separately: photon loss (efficiency eta) acts
-upstream in the state pipeline, while imperfect double-click recognition
-(alpha) acts on the finished table, turning class 6 into class 1 and
-class 5 into class 2 with probability 1 - alpha per station.
+Imperfections act on the finished table, per station: photon loss
+(efficiency eta) first, as ``loss_channel``, then imperfect double-click
+recognition (alpha), turning class 6 into class 1 and class 5 into class
+2 with probability 1 - alpha.
 """
 
 import math
@@ -30,7 +30,7 @@ from .fock import (
     D_PERP,
     OccupationVector,
 )
-from .optics import NETWORK_MODES, ExperimentConfig, check_eta, network_matrix
+from .optics import DETECTED_MODES, ExperimentConfig, check_eta, network_matrix
 
 
 class ImpossibleCountError(ValueError):
@@ -186,40 +186,56 @@ class JointProbabilityTable:
         return out
 
 
-#: flat 6x6 cell of the click classes of each ordered pair of network
-#: modes (row-major over NETWORK_MODES x NETWORK_MODES)
+#: flat 6x6 cell of the click classes of each ordered pair of detected
+#: modes (row-major over DETECTED_MODES x DETECTED_MODES)
 _PAIR_CELL = np.array([
     6 * (i - 1) + (j - 1)
     for i, j in (
         classify(OccupationVector.of(m, n))
-        for m in NETWORK_MODES for n in NETWORK_MODES
+        for m in DETECTED_MODES for n in DETECTED_MODES
     )
 ])
+
+
+def loss_channel(eta: float) -> np.ndarray:
+    """Photon loss at one station, column-stochastic: [i, j] is the chance
+    that class j + 1 reads as class i + 1, each photon kept with chance eta."""
+    check_eta(eta)
+    e, f = eta, 1.0 - eta
+    return np.array([e, 0.0, 0.0, e * f, 0.0, 2.0 * e * f,
+                     0.0, e, 0.0, e * f, 2.0 * e * f, 0.0,
+                     f, f, 1.0, f * f, f * f, f * f,
+                     0.0, 0.0, 0.0, e * e, 0.0, 0.0,
+                     0.0, 0.0, 0.0, 0.0, e * e, 0.0,
+                     0.0, 0.0, 0.0, 0.0, 0.0, e * e]).reshape(6, 6)
 
 
 def joint_table(theta1: float, theta2: float, eta: float = 1.0) -> JointProbabilityTable:
     """Joint class probabilities from the two-photon network matrix.
 
-    With ``u`` the 2 x 8 network matrix (``optics.network_matrix``), the
+    With ``u`` the 2 x 4 network matrix (``optics.network_matrix``), the
     pair a1x^dag a2y^dag |0> leaves as sum_ij u[0, i] u[1, j] b_i^dag b_j^dag
     |0>, so the amplitude of one photon in mode i and one in mode j is the
     2x2 permanent S_ij = u[0, i] u[1, j] + u[0, j] u[1, i].  Each ordered
     pair (i, j) carries |S_ij|^2 / 2, which also gives the doubly occupied
     ket its bosonic factor: |sqrt(2) u[0, i] u[1, i]|^2 = |S_ii|^2 / 2.
-    The 64 pair probabilities are summed into the cells ``classify``
-    assigns them; nothing is copied from the closed forms, which serve as
-    an independent cross-check.  The table carries alpha = 1 (recognition
-    errors are applied later).
+    The 16 pair probabilities are summed into the cells ``classify``
+    assigns them, then loss acts as L p L^T, L = ``loss_channel(eta)``.
+    The table carries alpha = 1; the closed forms and the sparse route
+    are its independent cross-checks.
     """
     u0, u1 = network_matrix(ExperimentConfig(theta1, theta2, eta))
     s = np.outer(u0, u1)
     s += s.T
     pair = 0.5 * (s.real ** 2 + s.imag ** 2)
-    probs = np.bincount(_PAIR_CELL, weights=pair.ravel(), minlength=36)
+    probs = np.bincount(_PAIR_CELL, weights=pair.ravel(), minlength=36).reshape(6, 6)
+    if eta < 1.0:
+        m = loss_channel(eta)
+        probs = m @ probs @ m.T
     n = math.sqrt(probs.sum())
     if abs(n - 1.0) > 1e-9:
         raise RuntimeError(f"pipeline produced norm {n!r}, expected 1")
-    return JointProbabilityTable(probs.reshape(6, 6), theta1, theta2, eta, 1.0)
+    return JointProbabilityTable(probs, theta1, theta2, eta, 1.0)
 
 
 def apply_alpha_confusion(table: JointProbabilityTable, alpha: float) -> JointProbabilityTable:

@@ -9,7 +9,7 @@ inputs of the stage.  The rows of ``u`` are orthonormal (an isometry),
 which keeps the state norm fixed; the loss stage becomes an isometry by
 carrying an explicit ancilla mode for each undetected photon.
 
-The pipeline runs in three stages, each over every mode the stage
+The sparse pipeline runs in three stages, each over every mode the stage
 before it outputs.  First a symmetric beamsplitter merges the
 parametric pair,
 
@@ -34,18 +34,18 @@ UNITARY_TOLERANCE, each where it is cheapest:
   ``beamsplitter_5050`` first builds and caches it;
 - an analyzer block [[c, s], [s, -c]] and a loss channel's pair
   (sqrt(eta), sqrt(1 - eta)) have rows orthogonal by construction, so
-  ``_analyzer_matrix`` and ``_loss_weights`` check only their one
+  ``_analyzer_matrix`` and ``_loss_matrix`` check only their one
   remaining defect, |c^2 + s^2 - 1| or |r^2 + q^2 - 1|, on every call;
 - the mode lists are constants, so the chaining of the stages, each
   taking exactly the modes the one before it outputs, is checked once
   at import.
 
-``network_matrix`` multiplies those arrays into one 2 x 8 matrix taking
-the two source modes to the detected modes and their loss twins; it is
-the route ``detection.joint_table`` takes.  ``ExperimentConfig.elements``
-wraps the same arrays in ``ModeTransform``s, each of which runs the full
-Gram check again, and ``build_experiment_state`` runs them on the sparse
-Fock state, the independent reference for the dense route.
+``network_matrix`` multiplies the first two into one lossless 2 x 4
+matrix, the route ``detection.joint_table`` takes before it applies loss
+as a channel on the click classes.  ``ExperimentConfig.elements`` wraps
+all three in ``ModeTransform``s, each of which runs the full Gram check
+again, and ``build_experiment_state`` runs them on the sparse Fock
+state, the independent reference for the dense route and its channel.
 """
 
 import functools
@@ -72,7 +72,7 @@ from .fock import (
 #: maximum row-orthonormality defect tolerated at construction
 UNITARY_TOLERANCE = 1e-12
 
-#: columns of ``network_matrix``: the detected modes, then their loss twins
+#: outputs of the sparse loss stage: the detected modes, then their loss twins
 NETWORK_MODES = DETECTED_MODES + tuple(
     ModeId(m.beam, m.channel, lost=True) for m in DETECTED_MODES
 )
@@ -192,24 +192,13 @@ def _analyzer_matrix(theta1: float, theta2: float) -> np.ndarray:
     )
 
 
-def _loss_weights(eta: float) -> tuple:
-    """(sqrt(eta), sqrt(1 - eta)): a detected mode's amplitudes onto itself
-    and onto its loss twin."""
+def _loss_matrix(eta: float) -> np.ndarray:
+    """One loss channel per detected mode as one 4 x 8 matrix over
+    ``_LOSS_MODES``: detected mode i goes onto column i with weight
+    sqrt(eta) and onto its loss twin, column i + 4, with sqrt(1 - eta)."""
     r, q = math.sqrt(eta), math.sqrt(1.0 - eta)
     _check_unit_pair(r, q, "loss")
-    return r, q
-
-
-#: the loss stage's pattern over ``_LOSS_MODES``: detected mode i goes onto
-#: column i (weight sqrt(eta)) and onto its twin i + 4 (weight sqrt(1 - eta))
-_LOSS_SUPPORT = np.hstack([np.eye(len(DETECTED_MODES))] * 2)
-
-
-def _loss_matrix(eta: float) -> np.ndarray:
-    """One loss channel per detected mode as one 4 x 8 matrix."""
-    r, q = _loss_weights(eta)
-    n = len(DETECTED_MODES)
-    return _LOSS_SUPPORT * np.array((r,) * n + (q,) * n)
+    return np.kron((r, q), np.eye(len(DETECTED_MODES)))
 
 
 def apply(transform: ModeTransform, state: FockState) -> FockState:
@@ -299,19 +288,12 @@ def build_experiment_state(cfg: ExperimentConfig) -> FockState:
 
 
 def network_matrix(cfg: ExperimentConfig) -> np.ndarray:
-    """The pipeline of ``build_experiment_state`` as one 2 x 8 isometry.
+    """The lossless optics of ``build_experiment_state`` as one 2 x 4 isometry.
 
     Row 0 is the image of a1x^dag and row 1 that of a2y^dag, over the
-    columns NETWORK_MODES.  It is the product of the same stage matrices
-    ``cfg.elements()`` wraps, without the wrapping: the beamsplitter's
-    was checked when it was cached, the analyzers' and the loss
-    channels' are checked block by block as they are built, and the
-    stages were chained at import.  At eta = 1 the pipeline ends on the
-    detected modes and the loss-twin columns are zero.
+    columns DETECTED_MODES, at every eta.  It is the product of the first
+    two matrices ``cfg.elements()`` wraps, without the wrapping: the
+    beamsplitter's was checked when it was cached, the analyzers' are
+    checked block by block as they are built.
     """
-    u = beamsplitter_5050().matrix @ _analyzer_matrix(cfg.theta1, cfg.theta2)
-    if cfg.eta < 1.0:
-        return u @ _loss_matrix(cfg.eta)
-    out = np.zeros((2, len(NETWORK_MODES)), dtype=complex)
-    out[:, :len(DETECTED_MODES)] = u
-    return out
+    return beamsplitter_5050().matrix @ _analyzer_matrix(cfg.theta1, cfg.theta2)

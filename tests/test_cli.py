@@ -191,7 +191,7 @@ OUTPUT_PINS = (
      "5289ef38acf8dca8d3a27eb8b9909cfeacd67056f5ad6da9e2e943a335539029",
      "2d35470f21d42c38ef08971819169faa838bd58694bdc9be63956383a731bfaa"),
     (["probs", "0.3", "1.1", "--eta", "0.8"],
-     "8fcaf13dae4320ef47a64abca10c9fd802bef6afff711925d79f65ad803557b2",
+     "ad045939769295d6be4d5202f4da2ecc8f5b6348c98748a8e9df7e65b8f845dc",
      "32f5fa4af0e86f3682d3bd2df9ec0fed42bc0759c518d9e9b62197fac6878429"),
     (["probs", "0.3", "1.1", "--eta", "0.8", "--alpha", "0"],
      "99732d4d4e27da2e7993d9e96f3fc5520c79205ffabd1cb6c90515241276a575",
@@ -200,7 +200,7 @@ OUTPUT_PINS = (
      "fbd85bb21eeed6bc19ec6341ad851490bfcf546632e6d35cfc29ff29e051e7f3",
      "eaa062cc5a3b01595fda2f2cf1398cd7dca69cdb4439f48200ca65e615892b34"),
     (["probs", "9.5", "-13", "--eta", "0.9", "--alpha", "0.4"],
-     "59ee32dd44f76fa3e6a95d5a57df6053f03df0a281f7b5a4a459d60cf7311b32",
+     "aa93a05b72c21851ea74d59a6b18aa9f3a708d3ecf123dedd0e8162df0adc7c3",
      "2eaaa995fbb6f5dbcd19116d480b51bf85b7c81bcced747a4b59be28199fa2e3"),
     (["hom-scan"],
      "9382bf91a785009c9e8eac554c9e5f7af52589ec1284742457880aa5481734ae",
@@ -209,7 +209,7 @@ OUTPUT_PINS = (
      "0fe8e83fc201b1685b4e4c2c25331aabf260540f505e609673a9d86a9e572ee0",
      "dfeb830abdc738a087012bf8ec283dd4df34a94b0a087140e60e890eb3b703bc"),
     (["probs", "17", "63", "--eta", "0.9", "--alpha", "0.4", "--degrees"],
-     "029a951e2ca28db5fff076011109d9ff0e91b8cbdbfcab463eac8af0ae4ba1ef",
+     "c272b73f9b900dda253a9aed3a0cd1759748f2159f48b7d7c1ab73b01cf5c6f2",
      "a15147d84c98726474f8cade15182612e4d7c7b481507fc605ae6dc80c7c6b9d"),
     (["hom-scan", "--points", "7", "--theta2", "20", "--start=-30", "--stop", "120",
       "--degrees"],
@@ -231,13 +231,13 @@ JSON_PINS = (
     (["correlation", "0.3", "1.1"],
      "c738a1c497efeaa8c5acfac065f91bc524ebdefbada958b5866fba5ac6797e12"),
     (["correlation", "0.3", "1.1", "--eta", "0.8", "--alpha", "0.4"],
-     "0ab6e67e5364fafc84b91dd5623d650f7f4543658479de4890fd5fedfe28e90d"),
+     "b9ea769cff644803bda9e4918ee429f2b53bc144539d5b64c2bd3ed02f68ff37"),
     (["chsh", *IDEAL],
      "c5085c1f8932952369110b486c6a6923ac9439c8754d1d5b61fe71f334c3b219"),
     (["chsh", "0.1", "0.9", "-0.4", "2.2", "--eta", "0.85", "--alpha", "0.5"],
-     "cfa9fb1b303630268f62d4f0f436d8d3bf92acc8e2705da0ddb2a5775f5ef8de"),
+     "1a02cc5236dc2a4b439c6cec941c9acfd74a297f8ea0fbc61e581ff8da322a61"),
     (["chsh", "0", "90", "45", "135", "--degrees", "--eta", "0.9", "--alpha", "0.2"],
-     "540375ded18a9f0eba5786fab87404e95a1420a09ebd375b223e77f9e37fb6c3"),
+     "41f5cc600ced997ddff97f171f681f231d807c2f245492d6af71bf667887674a"),
     (["optimize"],
      "9164cd9f915c121d4b354448fcda6af5a9a9e18ccfc96420c9e524aa02b043d7"),
     (["optimize", "--eta", "0.9", "--alpha", "0.3", "--starts", "4"],
@@ -349,6 +349,22 @@ def test_sample_io_error_exits_1(tmp_path, monkeypatch, capsys):
     assert draws == []
     assert main(["sample", *IDEAL, "--n", "10", "--out", os.devnull]) == 0
     assert len(draws) == 1
+
+
+@pytest.mark.parametrize("message, shown", (
+    ("Unable to allocate 7.45 GiB for an array", "Unable to allocate 7.45 GiB for an array"),
+    ("", "MemoryError"),
+))
+def test_sample_memory_error_exits_1(message, shown, tmp_path, monkeypatch, capsys):
+    # a draw too large for memory ends as an error line, not a traceback
+    def exhausted(cfg):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "sample_events", exhausted)
+    out = tmp_path / "events.csv"
+    assert main(["sample", *IDEAL, "--n", "10", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {shown}\n"
+    assert not out.exists()
 
 
 def test_sample_leaves_no_file_before_the_draw(tmp_path, monkeypatch, capsys):

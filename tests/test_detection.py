@@ -20,6 +20,7 @@ from biphoton.detection import (
     closed_form_ideal_table,
     closed_form_lossy_table,
     joint_table,
+    loss_channel,
 )
 from biphoton.fock import C_PAR, C_PERP, C_X, D_PAR, D_PERP, ModeId, OccupationVector
 from biphoton.optics import (
@@ -129,7 +130,7 @@ def test_ideal_table_matches_formulas_on_grid():
 
 
 #: sha256 of every ``joint_table(...).probs.tobytes()`` over ``_pinned_grid()``
-TABLE_PIN = "2266cc31a145bf4e183e10fed23882fa0f4e80fabefd5541fc46a927e169d2b3"
+TABLE_PIN = "a906dd42a625bc57856d25dc30625d3f01c0d027c4cc37e510611e2894c984e4"
 
 
 def _pinned_grid():
@@ -169,8 +170,8 @@ def test_table_bytes_are_pinned():
 
 #: sha256 over alpha in (1, 0.75, 0) and ``_pinned_grid()`` of the confused
 #: tables' ``probs.tobytes()``, and of ``repr`` of their correlations
-CONFUSION_PIN = "9360660e5df54647967521ebd834c1c32125560e7a81bb5f748ac1412793282a"
-CORRELATION_PIN = "3aa234296b1016006f1125565b7af321fd3dd3dde11df12768e4b37cc1c72286"
+CONFUSION_PIN = "cf467353ac66489d610a00bf547e8125c19a9ccac95e59e16dbdd2f7e1d8775e"
+CORRELATION_PIN = "56152d027fb1cf76fe6cbdbabe9b79bf0377ae9e2be2e673f65892e4d6035042"
 
 
 def test_confused_table_and_correlation_bytes_are_pinned():
@@ -192,15 +193,58 @@ def test_lossless_table_confusion_and_correlation_bytes_are_pinned():
     assert _grid_digests(grid) == LOSSLESS_PINS
 
 
-def test_network_matrix_is_the_product_of_the_sparse_stages():
+def test_network_matrix_is_the_product_of_the_lossless_sparse_stages():
     for theta1, theta2, eta in _pinned_grid():
         cfg = ExperimentConfig(theta1, theta2, eta)
         u = np.eye(2, dtype=complex)
-        for stage in cfg.elements():
+        for stage in cfg.elements()[:2]:
             u = u @ stage.matrix
-        ref = np.zeros((2, len(NETWORK_MODES)), dtype=complex)
-        ref[:, :u.shape[1]] = u
-        assert network_matrix(cfg).tobytes() == ref.tobytes()
+        assert network_matrix(cfg).tobytes() == u.tobytes()
+
+
+@pytest.mark.parametrize("eta", (1e-3, 0.37, 0.9, 1.0))
+def test_loss_channel_is_column_stochastic(eta):
+    m = loss_channel(eta)
+    assert m.shape == (6, 6) and np.all(m >= 0.0)
+    assert np.max(np.abs(m.sum(axis=0) - 1.0)) <= 1e-15
+
+
+def test_loss_channel_is_the_identity_at_unit_efficiency():
+    assert loss_channel(1.0).tobytes() == np.eye(6).tobytes()
+
+
+@pytest.mark.parametrize("eta", (1e-3, 0.37, 0.9, 1.0))
+def test_loss_channel_pulls_back_the_default_values(eta):
+    # the value a class's record reads as on average; E(eta) = eta^2 E(1)
+    # + (1 - eta)^2 follows from it
+    pulled = loss_channel(eta).T @ np.array(DEFAULT_ASSIGNMENT.a, dtype=float)
+    ref = (1 - 2 * eta, 1, 1, eta**2 + (1 - eta) ** 2, 1, (1 - 2 * eta) ** 2)
+    assert np.max(np.abs(pulled - ref)) < 1e-15
+
+
+@pytest.mark.parametrize("theta1, theta2, eta", (
+    (0.31, 1.17, 0.8), (math.pi / 4.0, -0.6, 1e-3), (9.5, -13.0, 0.999),
+))
+def test_lossy_table_is_the_channel_on_the_lossless_table(theta1, theta2, eta):
+    m = loss_channel(eta)
+    ref = m @ joint_table(theta1, theta2).probs @ m.T
+    assert joint_table(theta1, theta2, eta).probs.tobytes() == ref.tobytes()
+
+
+def test_norm_guard_runs_after_the_loss_channel(monkeypatch):
+    # the dense route has no loss stage to check; a channel that makes
+    # mass is caught by the norm of the table it returns
+    real = detection.loss_channel
+
+    def leaky(eta):
+        m = real(eta)
+        m[:, 0] *= 1.1
+        return m
+
+    monkeypatch.setattr(detection, "loss_channel", leaky)
+    joint_table(0.3, 0.2)
+    with pytest.raises(RuntimeError, match="norm"):
+        joint_table(0.3, 0.2, 0.9)
 
 
 def test_table_builds_no_mode_transform(monkeypatch):

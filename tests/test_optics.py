@@ -32,7 +32,7 @@ from biphoton.optics import (
     ModeTransform,
     _analyzer_matrix,
     _check_chain,
-    _loss_weights,
+    _loss_matrix,
     apply,
     beamsplitter_5050,
     build_experiment_state,
@@ -185,14 +185,13 @@ def test_config_validates_eta():
         ExperimentConfig(0.0, 0.0, eta=1.5)
 
 
-@pytest.mark.parametrize("eta", (1.0, 0.7, 0.5))
+@pytest.mark.parametrize("eta", (1.0, 0.7, 0.5, 1e-3))
 def test_network_matrix_is_an_isometry(eta):
     u = network_matrix(ExperimentConfig(0.4, -1.3, eta))
-    assert u.shape == (2, 8)
+    assert u.shape == (2, len(DETECTED_MODES))
     assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-12
-    # columns 4..7 are the loss twins, empty exactly when eta = 1
-    assert np.all(u[:, 4:] != 0) == (eta < 1.0)
-    assert np.all(u[:, 4:] == 0) == (eta == 1.0)
+    # the optics are lossless at every eta: loss acts on the click table
+    assert u.tobytes() == network_matrix(ExperimentConfig(0.4, -1.3)).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -261,17 +260,21 @@ class _MathScaledAt:
 @pytest.mark.parametrize("at, build, args", (
     (0.37, _analyzer_matrix, (0.37, 1.91)),
     (1.91, _analyzer_matrix, (0.37, 1.91)),
-    (0.35, _loss_weights, (0.35,)),
-    (1.0 - 0.35, _loss_weights, (0.35,)),
+    (0.35, _loss_matrix, (0.35,)),
+    (1.0 - 0.35, _loss_matrix, (0.35,)),
 ))
 def test_block_checks_catch_one_bad_block(monkeypatch, at, build, args):
     # one analyzer block, or one loss amplitude, scaled off the isometry,
-    # is caught as the stage is built, on either route
+    # is caught as the stage is built: an analyzer on either route, a loss
+    # channel on the sparse route, the only one with a loss stage
     cfg = ExperimentConfig(0.37, 1.91, 0.35)
     beamsplitter_5050()
     monkeypatch.setattr(optics, "math", _MathScaledAt(None))
-    network_matrix(cfg)
+    cfg.elements()
     monkeypatch.setattr(optics, "math", _MathScaledAt(at))
-    for call in (lambda: build(*args), lambda: network_matrix(cfg), cfg.elements):
+    calls = [lambda: build(*args), cfg.elements]
+    if build is _analyzer_matrix:
+        calls.append(lambda: network_matrix(cfg))
+    for call in calls:
         with pytest.raises(ValueError, match="orthonormal"):
             call()
