@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -38,6 +39,7 @@ from biphoton.optics import (
     build_experiment_state,
     network_matrix,
 )
+from test_detection import _pinned_grid
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -176,6 +178,28 @@ def test_experiment_state_with_loss_keeps_norm():
     assert any(m.lost for occ in state.terms for m, _ in occ.pairs)
     assert len(ExperimentConfig(0.9, 2.2, 0.35).elements()) == 3
     assert len(ExperimentConfig(0.9, 2.2).elements()) == 2
+
+
+#: sha256 over ``_pinned_grid()`` of each ``build_experiment_state`` ket, in
+#: the order ``FockState.__str__`` renders them, as ``str(occ)`` then the
+#: amplitude's ``np.complex128(amp).tobytes()``
+STATE_PIN = "b53f508a04b8b535c97edcc65f316408d259101ad3480817cdfd84f3825ed7fc"
+
+
+def test_sparse_state_bytes_are_pinned():
+    digest = hashlib.sha256()
+    kets = 0
+    for theta1, theta2, eta in _pinned_grid():
+        state = build_experiment_state(ExperimentConfig(theta1, theta2, eta))
+        for occ, amp in sorted(
+            state.items(),
+            key=lambda kv: tuple((m.sort_key(), n) for m, n in kv[0].pairs),
+        ):
+            digest.update(str(occ).encode())
+            digest.update(np.complex128(amp).tobytes())
+            kets += 1
+    assert kets == 14076
+    assert digest.hexdigest() == STATE_PIN
 
 
 def test_config_validates_eta():
