@@ -30,11 +30,7 @@ from .fock import (
     FockState,
     ModeId,
     OccupationVector,
-    PhotonCapacityError,
-    create,
     norm,
-    states_allclose,
-    vacuum,
 )
 from .montecarlo import (
     EmptyEventsError,

@@ -67,8 +67,13 @@ class SamplerConfig:
         # operator.index rejects floats, which int() would truncate
         if not 0 <= operator.index(self.seed) < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
-        if operator.index(self.n_per_setting) < 1:
+        n = operator.index(self.n_per_setting)
+        if n < 1:
             raise ValueError("n_per_setting must be at least 1")
+        # the four settings' events share one array, indexed by np.intp
+        if len(SETTING_LABELS) * n > np.iinfo(np.intp).max:
+            raise ValueError(f"n_per_setting = {n} is too large: its "
+                             f"{len(SETTING_LABELS)} x n events overflow an array index")
 
 
 @dataclass(frozen=True)

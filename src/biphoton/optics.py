@@ -65,8 +65,6 @@ from .fock import (
     FockState,
     ModeId,
     OccupationVector,
-    create,
-    vacuum,
 )
 
 #: maximum row-orthonormality defect tolerated at construction
@@ -106,14 +104,9 @@ class ModeTransform:
         # a view of a read-only array cannot be made writeable again, so a
         # shared transform such as the beamsplitter stays constant
         object.__setattr__(self, "matrix", u.view())
-        if not self.is_unitary(UNITARY_TOLERANCE):
+        defect = u @ u.conj().T - np.eye(len(self.input_modes))
+        if not np.max(np.abs(defect)) <= UNITARY_TOLERANCE:
             raise ValueError("transform rows are not orthonormal")
-
-    def is_unitary(self, tol: float = UNITARY_TOLERANCE) -> bool:
-        gram = self.matrix @ self.matrix.conj().T
-        return bool(
-            np.max(np.abs(gram - np.eye(len(self.input_modes)))) <= tol
-        )
 
 
 #: each stage's (input modes, output modes): the beamsplitter merges the
@@ -277,11 +270,12 @@ class ExperimentConfig:
 def build_experiment_state(cfg: ExperimentConfig) -> FockState:
     """Run one photon pair through ``cfg.elements()`` on the sparse Fock state.
 
-    The source term is a1x^dag a2y^dag |0>.  The overall phase is fixed
-    by the pipeline itself: the two-station coincidence amplitudes come
-    out real, e.g. the |c par, d par> amplitude is sin(theta1 - theta2) / 2.
+    The source term is a1x^dag a2y^dag |0>, the ket |a1x, a2y> with
+    amplitude 1.  The overall phase is fixed by the pipeline itself: the
+    two-station coincidence amplitudes come out real, e.g. the
+    |c par, d par> amplitude is sin(theta1 - theta2) / 2.
     """
-    state = create(create(vacuum(), A1X), A2Y)
+    state = FockState({OccupationVector.of(A1X, A2Y): 1.0})
     for t in cfg.elements():
         state = apply(t, state)
     return state

@@ -24,23 +24,6 @@ def _rng():
     return np.random.default_rng(20260814)
 
 
-def check_bosonic_factors():
-    s = fock.create(fock.create(fock.vacuum(), fock.C_PAR), fock.C_PAR)
-    two = fock.OccupationVector.of(fock.C_PAR, fock.C_PAR)
-    assert abs(s.amplitude(two) - math.sqrt(2.0)) < 1e-12, str(s)
-
-
-def check_creation_linearity():
-    rng = _rng()
-    for _ in range(20):
-        a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
-        s1 = fock.FockState({fock.OccupationVector.of(fock.C_PAR): 1.0})
-        s2 = fock.FockState({fock.OccupationVector.of(fock.D_PERP): 1.0})
-        lhs = fock.create(a * s1 + b * s2, fock.C_PERP)
-        rhs = a * fock.create(s1, fock.C_PERP) + b * fock.create(s2, fock.C_PERP)
-        assert fock.states_allclose(lhs, rhs, 1e-12)
-
-
 def table_from_state(state) -> np.ndarray:
     """6x6 class table summed ket by ket from a sparse state.
 
@@ -296,8 +279,6 @@ def check_random_search_never_beats_closed_form():
 
 
 ALL_CHECKS = (
-    ("fock: bosonic factors", check_bosonic_factors),
-    ("fock: creation is linear", check_creation_linearity),
     ("optics: pipeline preserves norm", check_pipeline_norm),
     ("optics: final-state amplitudes match derivation", check_final_state_amplitudes),
     ("detection: tables normalize and cancel", check_table_normalization),

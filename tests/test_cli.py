@@ -367,6 +367,20 @@ def test_sample_memory_error_exits_1(message, shown, tmp_path, monkeypatch, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", (2**63, 2**61))
+def test_sample_n_past_the_array_index_exits_2(n, tmp_path, capsys):
+    # 4 n events overflow np.intp: the config rejects n before --out is
+    # touched and before anything is allocated
+    out = tmp_path / "events.csv"
+    assert main(["sample", *IDEAL, "--n", str(n), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: n_per_setting = {n} is too large: its 4 x n events overflow an array index\n"
+    )
+    assert not out.exists()
+
+
 def test_sample_leaves_no_file_before_the_draw(tmp_path, monkeypatch, capsys):
     # the --out check removes a file it made, so that to_csv creates the file
     # rather than truncating it: ext4 writes a truncated file to disk at close

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 import os
 import pickle
 import subprocess
@@ -20,36 +19,8 @@ from biphoton.fock import (
     FockState,
     ModeId,
     OccupationVector,
-    PhotonCapacityError,
-    create,
     norm,
-    states_allclose,
-    vacuum,
 )
-
-
-def test_vacuum_is_normalized():
-    v = vacuum()
-    assert abs(norm(v) - 1.0) < 1e-15
-
-
-def test_single_creation():
-    s = create(vacuum(), C_PAR)
-    occ = OccupationVector.of(C_PAR)
-    assert abs(s.amplitude(occ) - 1.0) < 1e-15
-    assert abs(norm(s) - 1.0) < 1e-15
-
-
-def test_double_creation_carries_bosonic_factor():
-    s = create(create(vacuum(), C_PAR), C_PAR)
-    occ = OccupationVector.of(C_PAR, C_PAR)
-    assert abs(s.amplitude(occ) - math.sqrt(2.0)) < 1e-15
-
-
-def test_capacity_cap_is_enforced():
-    s = create(create(vacuum(), C_PAR), C_PERP)
-    with pytest.raises(PhotonCapacityError):
-        create(s, D_PAR)
 
 
 def test_norm_of_zero_expansion():
@@ -68,8 +39,7 @@ def test_occupation_is_order_insensitive():
     two = OccupationVector.of(C_PAR, C_PERP)
     assert one == two
     assert hash(one) == hash(two)
-    assert one.count(C_PAR) == 1
-    assert one.total == 2
+    assert one.pairs == ((C_PAR, 1), (C_PERP, 1))
 
 
 def test_occupation_rejects_negative_counts():
@@ -87,7 +57,6 @@ def test_ket_rendering_is_sorted_and_deterministic():
     text = str(s)
     assert text == "(0.5+0i)|c∥,d⊥⟩ + (0+0.25i)|2c∥⟩"
     assert str(FockState({})) == "0"
-    assert str(vacuum()) == "(1+0i)|∅⟩"
 
 
 def test_mode_labels():
@@ -106,16 +75,6 @@ amplitudes = st.complex_numbers(
 )
 
 
-@given(a=amplitudes, b=amplitudes)
-@settings(max_examples=50)
-def test_create_is_linear(a, b):
-    s1 = FockState({OccupationVector.of(C_PAR): 1.0})
-    s2 = FockState({OccupationVector.of(D_PERP): 1.0})
-    lhs = create(a * s1 + b * s2, C_PERP)
-    rhs = a * create(s1, C_PERP) + b * create(s2, C_PERP)
-    assert states_allclose(lhs, rhs, 1e-12)
-
-
 @given(
     amps=st.lists(amplitudes.filter(lambda z: abs(z) > 1e-6), min_size=1, max_size=4)
 )
@@ -123,9 +82,8 @@ def test_create_is_linear(a, b):
 def test_probabilities_of_normalized_state_sum_to_one(amps):
     modes = [C_PAR, C_PERP, D_PAR, D_PERP]
     terms = {OccupationVector.of(m): z for m, z in zip(modes, amps)}
-    raw = FockState(terms)
-    scale = 1.0 / norm(raw)
-    state = scale * raw
+    scale = 1.0 / norm(FockState(terms))
+    state = FockState({occ: scale * z for occ, z in terms.items()})
     total = sum(abs(amp) ** 2 for amp in state.terms.values())
     assert abs(total - 1.0) < 1e-12
 
@@ -148,7 +106,7 @@ def test_equal_modes_and_occupations_hash_equal_however_built():
     occupations = [
         OccupationVector.of(lost, C_PAR, C_PAR),
         OccupationVector.from_counts({lost: 1, C_PAR: 2, D_PAR: 0}),
-        OccupationVector.of(C_PAR).with_added(modes[2]).with_added(C_PAR),
+        OccupationVector.of(C_PAR, modes[2], C_PAR),
         dataclasses.replace(OccupationVector.of(D_PAR), pairs=occ.pairs),
         pickle.loads(pickle.dumps(occ)),
     ]

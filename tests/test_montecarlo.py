@@ -42,6 +42,9 @@ def test_config_validation():
         small_cfg(seed=2**64)
     with pytest.raises(ValueError):
         small_cfg(n=0)
+    # the four settings' 4 n events would overflow np.intp
+    with pytest.raises(ValueError, match="n_per_setting = 9223372036854775808 is too large"):
+        small_cfg(n=2**63)
 
 
 def test_config_rejects_non_integers():

@@ -19,9 +19,7 @@ from biphoton.fock import (
     FockState,
     ModeId,
     OccupationVector,
-    create,
     norm,
-    vacuum,
 )
 from biphoton import optics
 from biphoton.optics import (
@@ -44,8 +42,14 @@ from test_detection import _pinned_grid
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
+def ket(*modes):
+    """The ket with one photon per entry of ``modes``, amplitude 1."""
+    return FockState({OccupationVector.of(*modes): 1.0})
+
+
 def test_beamsplitter_is_isometry():
-    assert beamsplitter_5050().is_unitary(1e-12)
+    u = beamsplitter_5050().matrix
+    assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-12
 
 
 def test_beamsplitter_is_built_once_and_read_only():
@@ -59,7 +63,7 @@ def test_beamsplitter_is_built_once_and_read_only():
 
 
 def test_beamsplitter_action_on_single_photon():
-    out = apply(beamsplitter_5050(), create(vacuum(), A1X))
+    out = apply(beamsplitter_5050(), ket(A1X))
     assert abs(out.amplitude(OccupationVector.of(C_X)) - 1j * INV_SQRT2) < 1e-15
     assert abs(out.amplitude(OccupationVector.of(D_X)) - INV_SQRT2) < 1e-15
     assert abs(norm(out) - 1.0) < 1e-15
@@ -67,7 +71,7 @@ def test_beamsplitter_action_on_single_photon():
 
 def test_beamsplitter_action_on_pair():
     # (i cx + dx)(cy + i dy) / 2 expanded by hand
-    out = apply(beamsplitter_5050(), create(create(vacuum(), A1X), A2Y))
+    out = apply(beamsplitter_5050(), ket(A1X, A2Y))
     expected = {
         OccupationVector.of(C_X, C_Y): 0.5j,
         OccupationVector.of(C_X, D_Y): -0.5,
@@ -85,12 +89,28 @@ def test_analyzer_stage_action():
     for x, y, par, perp, theta in ((C_X, C_Y, C_PAR, C_PERP, theta1),
                                    (D_X, D_Y, D_PAR, D_PERP, theta2)):
         c, s = math.cos(theta), math.sin(theta)
-        out = apply(analyzers, create(vacuum(), x))
+        out = apply(analyzers, ket(x))
         assert abs(out.amplitude(OccupationVector.of(par)) - c) < 1e-15
         assert abs(out.amplitude(OccupationVector.of(perp)) - s) < 1e-15
-        out = apply(analyzers, create(vacuum(), y))
+        out = apply(analyzers, ket(y))
         assert abs(out.amplitude(OccupationVector.of(par)) - s) < 1e-15
         assert abs(out.amplitude(OccupationVector.of(perp)) + c) < 1e-15
+
+
+@pytest.mark.parametrize("x, y, par, perp, thetas", (
+    (C_X, C_Y, C_PAR, C_PERP, (math.pi / 4.0, 0.3)),
+    (D_X, D_Y, D_PAR, D_PERP, (0.3, math.pi / 4.0)),
+))
+def test_apply_makes_the_bosonic_factor(x, y, par, perp, thetas):
+    # at theta = pi/4, x^dag y^dag -> (par^dag^2 - perp^dag^2) / 2, and
+    # par^dag^2 |0> = sqrt(2) |2 par>: the pair bunches into one port with
+    # amplitude +-sqrt(2)/2, and the split ket cancels
+    analyzers = ExperimentConfig(*thetas).elements()[1]
+    out = apply(analyzers, ket(x, y))
+    two_par, two_perp = OccupationVector.of(par, par), OccupationVector.of(perp, perp)
+    assert set(out.terms) == {two_par, two_perp}
+    assert abs(out.amplitude(two_par) - INV_SQRT2) < 1e-15
+    assert abs(out.amplitude(two_perp) + INV_SQRT2) < 1e-15
 
 
 @pytest.mark.parametrize("mode", DETECTED_MODES)
@@ -100,10 +120,10 @@ def test_loss_stage_amplitudes(mode):
     eta = 0.81
     losses = ExperimentConfig(0.3, -1.2, eta).elements()[2]
     r = ModeId(mode.beam, mode.channel, lost=True)
-    out = apply(losses, create(vacuum(), mode))
+    out = apply(losses, ket(mode))
     assert abs(out.amplitude(OccupationVector.of(mode)) - math.sqrt(eta)) < 1e-15
     assert abs(out.amplitude(OccupationVector.of(r)) - math.sqrt(1.0 - eta)) < 1e-15
-    out = apply(losses, FockState({OccupationVector.of(mode, mode): 1.0}))
+    out = apply(losses, ket(mode, mode))
     assert abs(out.amplitude(OccupationVector.of(mode, mode)) - eta) < 1e-15
     assert (
         abs(
@@ -120,7 +140,7 @@ def test_apply_rejects_a_mode_that_is_not_an_input():
     bs, analyzers = ExperimentConfig(0.3, -1.2).elements()
     # an output of the stage, and a mode the stage does not touch at all
     for stage, mode in ((bs, C_X), (analyzers, C_PAR), (analyzers, A1X)):
-        state = create(create(vacuum(), stage.input_modes[0]), mode)
+        state = ket(stage.input_modes[0], mode)
         with pytest.raises(ValueError, match=f"occupied mode {mode} is not an input"):
             apply(stage, state)
 
