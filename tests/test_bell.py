@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from biphoton.detection import (
     closed_form_ideal_table,
     joint_table,
 )
+from biphoton.montecarlo import chsh_from_correlations
 
 # setting angles quoted for the alpha = 0 maximum, reused across tests
 ALPHA0_SETTINGS = ChshSettings(2.93798, 4.25513, -0.20241, 1.11708)
@@ -119,6 +121,32 @@ def test_chsh_alpha0_angle_tuple():
 def test_chsh_rejects_unknown_method():
     with pytest.raises(ValueError):
         chsh(ALPHA0_SETTINGS, DetectorModel(), method="guess")
+
+
+def _table_chsh(settings_, model):
+    """S with every term rebuilt from the explicit joint tables."""
+    return chsh(settings_, model, method="table")
+
+
+#: sha256 over 2,000 seeded points of the closed-form S, the table-route S
+#: and ``chsh_from_correlations``' (S, standard error) of seeded
+#: (mean, standard error) pairs, each as float64 bytes
+CHSH_PIN = "412de4fb130aa2d24c52e89efd5c94d0b15ca2c7a20ed528a8e5954764357b87"
+
+
+def test_chsh_bytes_are_pinned():
+    rng = np.random.default_rng(43)
+    digest = hashlib.sha256()
+    for _ in range(2000):
+        settings_ = ChshSettings(*rng.uniform(-20.0, 20.0, 4))
+        eta = 1.0 if rng.random() < 0.25 else rng.uniform(1e-3, 1.0)
+        model = DetectorModel(alpha=rng.random(), eta=eta)
+        correlations = {label: (rng.uniform(-1.0, 1.0), rng.uniform(0.0, 0.1))
+                        for label in SETTING_LABELS}
+        values = (chsh(settings_, model), _table_chsh(settings_, model),
+                  *chsh_from_correlations(correlations))
+        digest.update(np.array(values, dtype=np.float64).tobytes())
+    assert digest.hexdigest() == CHSH_PIN
 
 
 def test_setting_labels_and_pairs():
