@@ -6,6 +6,7 @@ from .bell import (
     HomPortProbabilities,
     PsiAngles,
     chsh,
+    chsh_combination,
     correlation_closed_form,
     correlation_from_table,
     correlation_via_table,

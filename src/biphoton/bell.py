@@ -80,12 +80,13 @@ class ChshSettings:
 
     def pairs(self) -> tuple:
         """The four labeled settings in SETTING_LABELS order."""
-        return (
-            ("AB", PsiAngles(self.psi1, self.psi2)),
-            ("A'B", PsiAngles(self.psi1_prime, self.psi2)),
-            ("AB'", PsiAngles(self.psi1, self.psi2_prime)),
-            ("A'B'", PsiAngles(self.psi1_prime, self.psi2_prime)),
+        angles = (
+            PsiAngles(self.psi1, self.psi2),
+            PsiAngles(self.psi1_prime, self.psi2),
+            PsiAngles(self.psi1, self.psi2_prime),
+            PsiAngles(self.psi1_prime, self.psi2_prime),
         )
+        return tuple(zip(SETTING_LABELS, angles))
 
 
 def correlation_closed_form(psi: PsiAngles, model: DetectorModel) -> float:
@@ -125,22 +126,16 @@ def correlation_via_table(
     return correlation_from_table(table_for(psi, model), values)
 
 
-def chsh(settings: ChshSettings, model: DetectorModel, method: str = "closed-form") -> float:
-    """S = E(AB) + E(A'B) + E(AB') - E(A'B').
+def chsh_combination(e) -> float:
+    """S = E(AB) + E(A'B) + E(AB') - E(A'B') from E keyed by SETTING_LABELS."""
+    return e["AB"] + e["A'B"] + e["AB'"] - e["A'B'"]
 
-    ``method`` selects the route: "closed-form" (default) or "table",
-    which rebuilds every term from the explicit joint tables.
-    """
-    if method == "closed-form":
-        e = lambda psi: correlation_closed_form(psi, model)
-    elif method == "table":
-        e = lambda psi: correlation_via_table(psi, model)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    terms = dict(settings.pairs())
-    return (
-        e(terms["AB"]) + e(terms["A'B"]) + e(terms["AB'"]) - e(terms["A'B'"])
-    )
+
+def chsh(settings: ChshSettings, model: DetectorModel) -> float:
+    """S from the closed-form correlations; ``correlation_via_table`` at each
+    of ``settings.pairs()`` gives the independent table route."""
+    return chsh_combination(
+        {label: correlation_closed_form(psi, model) for label, psi in settings.pairs()})
 
 
 @dataclass(frozen=True)

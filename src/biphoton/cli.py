@@ -1,13 +1,14 @@
 """Command-line interface.
 
-Every subcommand prints one JSON envelope {command, parameters,
-results, schema_version} with numbers rounded to 9 significant digits;
-tables and event sets can be exported as CSV instead.  Angles are read
-as radians unless --degrees is given.  ``parameters`` echoes every
-parsed argument except --degrees, with angles in radians.  Exit codes:
-0 success, 1 failed validation or runtime failure, 2 usage errors (bad
-flags, out-of-range parameters).  A reader that closes stdout early, as
-``| head`` does, ends the command with exit 1 and nothing on stderr.
+Every subcommand but ``validate``, which prints text lines, prints one
+JSON envelope {command, parameters, results, schema_version} with
+numbers rounded to 9 significant digits; tables and event sets can be
+exported as CSV instead.  Angles are read as radians unless --degrees
+is given.  ``parameters`` echoes every parsed argument except --degrees,
+with angles in radians.  Exit codes: 0 success, 1 failed validation or
+runtime failure, 2 usage errors (bad flags, out-of-range parameters).
+A reader that closes stdout early, as ``| head`` does, ends the command
+with exit 1 and nothing on stderr.
 """
 
 import argparse
@@ -22,6 +23,7 @@ from .bell import (
     ChshSettings,
     PsiAngles,
     chsh,
+    chsh_combination,
     correlation_closed_form,
     correlation_via_table,
     hom_port_probabilities,
@@ -160,7 +162,8 @@ def cmd_chsh(args) -> int:
     settings = _parse_settings(args)
     _doublable(**_settings_dict(settings))
     closed = chsh(settings, model)
-    tabled = chsh(settings, model, method="table")
+    tabled = chsh_combination(
+        {label: correlation_via_table(psi, model) for label, psi in settings.pairs()})
     _emit(args, {
         "s": closed,
         "s_from_table": tabled,
@@ -366,7 +369,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # the reader closed stdout early, as `| head` does: stop quietly, and
         # point stdout at /dev/null so that the flush at exit cannot fail too
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -125,15 +125,6 @@ class ValueAssignment:
             if len(side) != 6 or any(v not in (-1, 1) for v in side):
                 raise ValueError("values must be six entries of +/-1")
 
-    def value(self, outcome: int, station: int) -> int:
-        """The value of outcome class 1..6 at station 1 or 2."""
-        if station not in (1, 2):
-            raise ValueError(f"station must be 1 or 2, got {station!r}")
-        if outcome not in range(1, 7):
-            raise ValueError(f"outcome must be a class 1..6, got {outcome!r}")
-        side = self.a if station == 1 else self.b
-        return side[int(outcome) - 1]
-
 
 DEFAULT_ASSIGNMENT = ValueAssignment()
 

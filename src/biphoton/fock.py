@@ -106,20 +106,11 @@ class OccupationVector:
         return self._hash
 
     @classmethod
-    def from_counts(cls, counts) -> "OccupationVector":
-        items = [(m, int(n)) for m, n in dict(counts).items() if n != 0]
-        for _, n in items:
-            if n < 0:
-                raise ValueError("negative occupation")
-        items.sort(key=lambda p: p[0]._key)
-        return cls(tuple(items))
-
-    @classmethod
     def of(cls, *modes: ModeId) -> "OccupationVector":
         counts: dict = {}
         for m in modes:
             counts[m] = counts.get(m, 0) + 1
-        return cls.from_counts(counts)
+        return cls(tuple(sorted(counts.items(), key=lambda p: p[0]._key)))
 
     def modes_with_multiplicity(self):
         """Yield each occupied mode, repeated by its count."""

@@ -36,9 +36,8 @@ UNITARY_TOLERANCE, each where it is cheapest:
   (sqrt(eta), sqrt(1 - eta)) have rows orthogonal by construction, so
   ``_analyzer_matrix`` and ``_loss_matrix`` check only their one
   remaining defect, |c^2 + s^2 - 1| or |r^2 + q^2 - 1|, on every call;
-- the mode lists are constants, so the chaining of the stages, each
-  taking exactly the modes the one before it outputs, is checked once
-  at import.
+- each stage's input mode list is the very tuple the stage before it
+  outputs, so the stages chain by construction.
 
 ``network_matrix`` multiplies the first two into one lossless 2 x 4
 matrix, the route ``detection.joint_table`` takes before it applies loss
@@ -70,7 +69,11 @@ from .fock import (
 #: maximum row-orthonormality defect tolerated at construction
 UNITARY_TOLERANCE = 1e-12
 
-#: outputs of the sparse loss stage: the detected modes, then their loss twins
+#: the modes of the pipeline, in order: the two source beams, the
+#: beamsplitter's outputs, DETECTED_MODES behind the analyzers, and the
+#: outputs of the sparse loss stage, the detected modes then their loss twins
+_SOURCE_MODES = (A1X, A2Y)
+_SPLIT_MODES = (C_X, D_X, C_Y, D_Y)
 NETWORK_MODES = DETECTED_MODES + tuple(
     ModeId(m.beam, m.channel, lost=True) for m in DETECTED_MODES
 )
@@ -109,32 +112,6 @@ class ModeTransform:
             raise ValueError("transform rows are not orthonormal")
 
 
-#: each stage's (input modes, output modes): the beamsplitter merges the
-#: two source beams, the analyzers take its outputs onto the detected modes,
-#: and the loss channels add a loss twin per detected mode
-_BEAMSPLITTER_MODES = ((A1X, A2Y), (C_X, D_X, C_Y, D_Y))
-_ANALYZER_MODES = ((C_X, D_X, C_Y, D_Y), DETECTED_MODES)
-_LOSS_MODES = (DETECTED_MODES, NETWORK_MODES)
-
-
-def _check_chain(stages) -> None:
-    """Require each stage of ``stages`` (mode-list pairs, in order) to take
-    exactly the modes, in order, that the one before it outputs, starting
-    from the source modes and ending on a prefix of NETWORK_MODES."""
-    modes = (A1X, A2Y)
-    for inputs, outputs in stages:
-        if inputs != modes:
-            raise ValueError(f"stage inputs {inputs} do not chain onto the modes {modes}")
-        modes = outputs
-    if modes != NETWORK_MODES[:len(modes)]:
-        raise ValueError(f"pipeline ends on {modes}, not on the network modes")
-
-
-# the mode lists are constants, so both pipelines are chained once, here
-_check_chain((_BEAMSPLITTER_MODES, _ANALYZER_MODES))
-_check_chain((_BEAMSPLITTER_MODES, _ANALYZER_MODES, _LOSS_MODES))
-
-
 def _check_unit_pair(a: float, b: float, what: str) -> None:
     """Require a^2 + b^2 = 1 within UNITARY_TOLERANCE for real a, b.
 
@@ -161,11 +138,12 @@ def beamsplitter_5050() -> ModeTransform:
         ],
         dtype=complex,
     )
-    return ModeTransform(*_BEAMSPLITTER_MODES, u)
+    return ModeTransform(_SOURCE_MODES, _SPLIT_MODES, u)
 
 
 def _analyzer_matrix(theta1: float, theta2: float) -> np.ndarray:
-    """Both analyzers as one 4 x 4 matrix over ``_ANALYZER_MODES``.
+    """Both analyzers as one 4 x 4 matrix from ``_SPLIT_MODES`` onto
+    DETECTED_MODES.
 
     Rows C_X, C_Y go onto C_PAR, C_PERP through theta1's block
     [[c, s], [s, -c]], rows D_X, D_Y onto D_PAR, D_PERP through theta2's.
@@ -186,9 +164,10 @@ def _analyzer_matrix(theta1: float, theta2: float) -> np.ndarray:
 
 
 def _loss_matrix(eta: float) -> np.ndarray:
-    """One loss channel per detected mode as one 4 x 8 matrix over
-    ``_LOSS_MODES``: detected mode i goes onto column i with weight
-    sqrt(eta) and onto its loss twin, column i + 4, with sqrt(1 - eta)."""
+    """One loss channel per detected mode as one 4 x 8 matrix from
+    DETECTED_MODES onto NETWORK_MODES: detected mode i goes onto column i
+    with weight sqrt(eta) and onto its loss twin, column i + 4, with
+    sqrt(1 - eta)."""
     r, q = math.sqrt(eta), math.sqrt(1.0 - eta)
     _check_unit_pair(r, q, "loss")
     return np.kron((r, q), np.eye(len(DETECTED_MODES)))
@@ -260,10 +239,11 @@ class ExperimentConfig:
         eta < 1, the loss channels."""
         stages = [
             beamsplitter_5050(),
-            ModeTransform(*_ANALYZER_MODES, _analyzer_matrix(self.theta1, self.theta2)),
+            ModeTransform(_SPLIT_MODES, DETECTED_MODES,
+                          _analyzer_matrix(self.theta1, self.theta2)),
         ]
         if self.eta < 1.0:
-            stages.append(ModeTransform(*_LOSS_MODES, _loss_matrix(self.eta)))
+            stages.append(ModeTransform(DETECTED_MODES, NETWORK_MODES, _loss_matrix(self.eta)))
         return stages
 
 
@@ -275,7 +255,7 @@ def build_experiment_state(cfg: ExperimentConfig) -> FockState:
     two-station coincidence amplitudes come out real, e.g. the
     |c par, d par> amplitude is sin(theta1 - theta2) / 2.
     """
-    state = FockState({OccupationVector.of(A1X, A2Y): 1.0})
+    state = FockState({OccupationVector.of(*_SOURCE_MODES): 1.0})
     for t in cfg.elements():
         state = apply(t, state)
     return state

@@ -5,7 +5,7 @@ Each check is a small function that raises AssertionError on failure;
 The checks mirror the library's structural guarantees (norm
 preservation, table normalization, closed form vs table agreement,
 sampler determinism, optimizer soundness).  The whole sweep takes about
-45 ms in process on a 2-vCPU x86-64 host (Python 3.11, numpy 2.4).  Its
+40 ms in process on a 2-vCPU x86-64 host (Python 3.11, numpy 2.4).  Its
 largest parts are the 70 sparse-route builds, the 4 x 10^5-event sampler
 check and the random CHSH search, which evaluates alpha = 0, 0.5 and 1
 on one set of 2^16 random settings.  None re-checks what a constructor

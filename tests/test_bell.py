@@ -2,7 +2,6 @@ import hashlib
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +10,7 @@ from biphoton.bell import (
     ChshSettings,
     PsiAngles,
     chsh,
+    chsh_combination,
     correlation_closed_form,
     correlation_from_table,
     correlation_via_table,
@@ -103,29 +103,24 @@ def test_correlation_from_table_with_custom_values():
     ) < 1e-12
 
 
+def _table_chsh(settings_, model):
+    """S with every term rebuilt from the explicit joint tables."""
+    return chsh_combination(
+        {label: correlation_via_table(psi, model) for label, psi in settings_.pairs()})
+
+
 def test_chsh_at_standard_ideal_settings():
     settings_ = ChshSettings(0.0, math.pi / 2, 3 * math.pi / 4, 5 * math.pi / 4)
     s = chsh(settings_, DetectorModel())
     assert abs(s - (1.0 + math.sqrt(2.0))) < 1e-12
-    s_table = chsh(settings_, DetectorModel(), method="table")
-    assert abs(s - s_table) < 1e-10
+    assert abs(s - _table_chsh(settings_, DetectorModel())) < 1e-10
 
 
 def test_chsh_alpha0_angle_tuple():
     # frozen: closed-form evaluation of the quoted angles
     s = chsh(ALPHA0_SETTINGS, DetectorModel(alpha=0.0))
     assert abs(s - 2.33712) < 1e-4
-    assert abs(s - chsh(ALPHA0_SETTINGS, DetectorModel(alpha=0.0), method="table")) < 1e-10
-
-
-def test_chsh_rejects_unknown_method():
-    with pytest.raises(ValueError):
-        chsh(ALPHA0_SETTINGS, DetectorModel(), method="guess")
-
-
-def _table_chsh(settings_, model):
-    """S with every term rebuilt from the explicit joint tables."""
-    return chsh(settings_, model, method="table")
+    assert abs(s - _table_chsh(ALPHA0_SETTINGS, DetectorModel(alpha=0.0))) < 1e-10
 
 
 #: sha256 over 2,000 seeded points of the closed-form S, the table-route S

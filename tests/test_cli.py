@@ -419,6 +419,34 @@ def test_closed_stdout_ends_quietly(fmt):
     assert err == b""
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_closed_stdout_leaks_no_descriptor(tmp_path):
+    # five in-process runs, each printing more than stdout's buffer holds to
+    # a pipe whose reader has closed, so a write fails in mid-print
+    src = str(Path(biphoton.__file__).resolve().parents[1])
+    report = tmp_path / "report.json"
+    code = (
+        f"import json, os, sys; sys.path.insert(0, {src!r})\n"
+        "from biphoton.cli import main\n"
+        "codes, fds = [], []\n"
+        "for _ in range(5):\n"
+        "    r, w = os.pipe()\n"
+        "    os.close(r)\n"
+        "    os.dup2(w, sys.stdout.fileno())\n"
+        "    os.close(w)\n"
+        "    codes.append(main(['hom-scan', '--points', '500']))\n"
+        "    fds.append(len(os.listdir('/proc/self/fd')))\n"
+        f"open({str(report)!r}, 'w').write(json.dumps([codes, fds]))\n"
+        "sys.exit(codes[-1])"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60)
+    assert out.returncode == 1
+    assert out.stderr == b""
+    codes, fds = json.loads(report.read_text())
+    assert codes == [1] * 5
+    assert len(set(fds)) == 1, fds
+
+
 def test_out_of_range_parameters_exit_2(capsys):
     assert main(["probs", "0.1", "0.2", "--eta", "0"]) == 2
     assert "error:" in capsys.readouterr().err

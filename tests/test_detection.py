@@ -67,18 +67,14 @@ def test_classify_rejects_undetected_modes():
 
 
 def test_classify_rejects_impossible_counts():
-    occ = OccupationVector.from_counts({C_PAR: 2, C_PERP: 1})
+    occ = OccupationVector.of(C_PAR, C_PAR, C_PERP)
     with pytest.raises(ImpossibleCountError):
         classify(occ)
 
 
 def test_default_value_assignment():
-    assert DEFAULT_ASSIGNMENT.value(1, 1) == -1
-    assert DEFAULT_ASSIGNMENT.value(1, 2) == -1
-    for outcome in range(2, 7):
-        assert DEFAULT_ASSIGNMENT.value(outcome, 1) == 1
-        assert DEFAULT_ASSIGNMENT.value(outcome, 2) == 1
-    assert DEFAULT_ASSIGNMENT.value(StationOutcome.DOUBLE_MINUS, 2) == 1
+    # -1 only for a lone D- click, class 1, at either station
+    assert DEFAULT_ASSIGNMENT.a == DEFAULT_ASSIGNMENT.b == (-1, 1, 1, 1, 1, 1)
 
 
 def test_value_assignment_validation():
@@ -86,12 +82,6 @@ def test_value_assignment_validation():
         ValueAssignment(a=(1, 1, 1), b=(-1, 1, 1, 1, 1, 1))
     with pytest.raises(ValueError):
         ValueAssignment(a=(0, 1, 1, 1, 1, 1), b=(-1, 1, 1, 1, 1, 1))
-
-    values = ValueAssignment(a=(-1, 1, 1, 1, 1, -1), b=(1, 1, 1, 1, 1, 1))
-    # neither wraps around to class 6 nor falls through to station 2
-    for outcome, station in ((1, 3), (1, 0), (0, 1), (7, 1), (7, 2), (-1, 1)):
-        with pytest.raises(ValueError):
-            values.value(outcome, station)
 
 
 def test_detector_model_validation():

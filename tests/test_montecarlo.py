@@ -459,7 +459,8 @@ def test_event_records_and_iteration():
 
 
 def test_records_read_columns_per_element(monkeypatch):
-    events = sample_events(small_cfg(alpha=0.0, n=300))
+    cfg = small_cfg(alpha=0.0, n=300)
+    events = sample_events(cfg)
     a = np.where(events.obs1 == 1, -1, 1).tolist()
     b = np.where(events.obs2 == 1, -1, 1).tolist()
 
@@ -472,8 +473,10 @@ def test_records_read_columns_per_element(monkeypatch):
     assert [r.setting for r in records] == [
         events.labels[c] for c in events.setting_codes
     ]
-    assert [r.psi1 for r in records] == events.psi1.tolist()
-    assert [r.psi2 for r in records] == events.psi2.tolist()
+    angles = dict(cfg.settings.pairs())
+    assert [PsiAngles(r.psi1, r.psi2) for r in records] == [
+        angles[r.setting] for r in records
+    ]
     assert [r.raw for r in records] == list(
         zip(events.raw1.tolist(), events.raw2.tolist())
     )
