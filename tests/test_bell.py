@@ -144,6 +144,14 @@ def test_chsh_bytes_are_pinned():
     assert digest.hexdigest() == CHSH_PIN
 
 
+def test_chsh_combination_signs_each_term():
+    # powers of two: the sum says which term, and only which, is subtracted
+    e = {label: 2.0 ** k for k, label in enumerate(SETTING_LABELS)}
+    assert chsh_combination(e) == e["AB"] + e["A'B"] + e["AB'"] - e["A'B'"] == -1.0
+    s, _ = chsh_from_correlations({label: (value, 0.0) for label, value in e.items()})
+    assert s == -1.0
+
+
 def test_setting_labels_and_pairs():
     s = ChshSettings(0.1, 0.2, 0.3, 0.4)
     pairs = dict(s.pairs())
