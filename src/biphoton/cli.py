@@ -35,7 +35,7 @@ from .detection import (
     closed_form_lossy_table,
     joint_table,
 )
-from .montecarlo import SamplerConfig, chsh_from_correlations, estimate_correlation, sample_events
+from .montecarlo import SamplerConfig, chsh_from_correlations, correlation_from_counts, sample_events
 from .optimize import critical_efficiency, maximize_chsh
 from .selftest import run_all
 
@@ -242,9 +242,9 @@ def cmd_sample(args) -> int:
         open(args.out, "a").close()
     events = sample_events(cfg)
     events.to_csv(args.out)
-    groups = events.split_by_setting()
-    correlations = {label: estimate_correlation(g) for label, g in groups.items()}
-    per_setting = {label: {"e": e, "stderr": err, "n": len(groups[label])}
+    counts = dict(zip(events.labels, events.counts()))
+    correlations = {label: correlation_from_counts(c) for label, c in counts.items()}
+    per_setting = {label: {"e": e, "stderr": err, "n": int(counts[label].sum())}
                    for label, (e, err) in correlations.items()}
     s, s_err = chsh_from_correlations(correlations)
     _emit(args, {

@@ -104,11 +104,12 @@ class EventBatch:
         self.labels = tuple(labels)
         self._psi1 = np.asarray(psi1_by_code, dtype=float)
         self._psi2 = np.asarray(psi2_by_code, dtype=float)
-        self.setting_codes = setting_codes
-        self.raw1 = raw1
-        self.raw2 = raw2
-        self.obs1 = obs1
-        self.obs2 = obs2
+        # asarray does not copy an ndarray, so slices stay views
+        self.setting_codes = np.asarray(setting_codes)
+        self.raw1 = np.asarray(raw1)
+        self.raw2 = np.asarray(raw2)
+        self.obs1 = np.asarray(obs1)
+        self.obs2 = np.asarray(obs2)
 
     def __len__(self):
         return len(self.setting_codes)
@@ -172,13 +173,14 @@ class EventBatch:
         """code*6**4 + (raw1-1)*6**3 + (raw2-1)*6**2 + (obs1-1)*6 + (obs2-1)
         for each row in ``rows``, of a batch that passed ``_check_rows``.
         """
-        # before any arithmetic, as the columns are uint8: the narrowest dtype
-        # that holds len(labels) * 6**4, the largest value before a last - 1;
-        # uint16 serves up to 50 labels
+        # before any arithmetic, as the columns may be uint8: the narrowest
+        # dtype that holds len(labels) * 6**4, the largest value before a
+        # last - 1; uint16 serves up to 50 labels
         key = self.setting_codes[rows].astype(np.min_scalar_type(len(self.labels) * 6**4))
         for name in ("raw1", "raw2", "obs1", "obs2"):
             key *= 6
-            key += getattr(self, name)[rows]
+            # a wider column casts into the key: its classes are 1..6
+            np.add(key, getattr(self, name)[rows], out=key, casting="unsafe")
             key -= 1
         return key
 
@@ -195,26 +197,90 @@ class EventBatch:
         return total.reshape(len(self.labels), 6, 6, 6, 6)
 
     def to_csv(self, path) -> None:
-        """Deterministic CSV export; identical configs give identical bytes.
+        """Deterministic CSV export, in UTF-8; identical configs give
+        identical bytes.
 
-        Everything after a row's index depends only on its setting and its
-        four outcome classes, so those row tails are formatted once per
-        call and looked up by the row key, CSV_CHUNK rows per write.  A
-        batch with a bad row raises ValueError before ``path`` is opened.
+        Everything after a row's index depends only on its row key, so the
+        row tails are encoded once per call into a table of NUL-padded
+        byte rows.  Each chunk of CSV_CHUNK rows is then one uint8 array:
+        the tails taken by row key, the index digits written in front of
+        them from a table of 4-digit groups, and every NUL dropped.  A
+        batch with a bad row, with a label that holds a NUL or does not
+        encode, or with angles for another number of labels, raises
+        ValueError before ``path`` is opened.
         """
         self._check_rows()
+        if any("\0" in label for label in self.labels):
+            raise ValueError("a label holds a NUL, the CSV writer's padding byte")
         va = DEFAULT_ASSIGNMENT
         pairs = list(itertools.product(range(1, 7), repeat=2))
-        settings = [f"{label},{psi1:.9g},{psi2:.9g},"
-                    for label, psi1, psi2 in zip(self.labels, self._psi1, self._psi2)]
+        # strict: a label without its angles would leave its keys no rows
+        heads = [f",{label},{psi1:.9g},{psi2:.9g},".encode() for label, psi1, psi2
+                 in zip(self.labels, self._psi1, self._psi2, strict=True)]
         raws = [f"{r1},{r2}," for r1, r2 in pairs]
         observed = [f"{o1},{o2},{va.a[o1 - 1]},{va.b[o2 - 1]}\n" for o1, o2 in pairs]
-        tails = [s + r + o for s in settings for r in raws for o in observed]
-        with open(path, "w", newline="") as fh:
-            fh.write("index,setting,psi1,psi2,raw1,raw2,obs1,obs2,a,b\n")
+        outcomes = [(r + o).encode() for r in raws for o in observed]
+        width = max(map(len, outcomes))
+        outcomes = np.frombuffer(b"".join(o.ljust(width, b"\0") for o in outcomes),
+                                 dtype=np.uint8).reshape(6**4, width)
+        # 4 bytes per group of four digits in the longest index
+        lead = 4 * -(-len(str(max(len(self) - 1, 0))) // 4)
+        # a row is its index's lead bytes and its tail, in whole uint32
+        # words, so that the index is written through a uint32 view
+        row = lead + max(map(len, heads), default=0) + width
+        table = np.zeros((len(heads), 6**4, -(-row // 4) * 4), dtype=np.uint8)
+        for code, head in enumerate(heads):
+            # each tail NUL-padded only at its end: the compaction pays per
+            # run of NULs, and this one joins the next row's padding
+            at = lead + len(head)
+            table[code, :, lead:at] = np.frombuffer(head, dtype=np.uint8)
+            table[code, :, at:at + width] = outcomes
+        table = table.reshape(len(heads) * 6**4, -1)
+        buf = np.empty((min(len(self), CSV_CHUNK), table.shape[1]), dtype=np.uint8)
+        with open(path, "wb") as fh:
+            fh.write(b"index,setting,psi1,psi2,raw1,raw2,obs1,obs2,a,b\n")
             for start in range(0, len(self), CSV_CHUNK):
-                keys = self._row_keys(slice(start, start + CSV_CHUNK)).tolist()
-                fh.write("".join([f"{i},{tails[k]}" for i, k in enumerate(keys, start)]))
+                keys = self._row_keys(slice(start, start + CSV_CHUNK))
+                rows = buf[:len(keys)]
+                # mode="raise" would take into a copy; the keys are in range
+                np.take(table, keys, axis=0, out=rows, mode="clip")
+                _write_indices(rows.view(np.uint32)[:, :lead // 4], start)
+                fh.write(rows[rows != 0])
+
+
+def _digit_groups() -> np.ndarray:
+    """The decimal digits of 0..9999, 4 bytes read as one uint32 each:
+    entries [0, 10**4) NUL-padded on the left, [10**4, 2 * 10**4) zero-padded.
+    """
+    zero_padded = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + ord("0")
+    # blank each leading zero but the last digit, so 0 keeps its "0"
+    seen = np.logical_or.accumulate(zero_padded > ord("0"), axis=1)
+    seen[:, -1] = True
+    table = np.concatenate([zero_padded * seen, zero_padded])
+    return np.ascontiguousarray(table).view(np.uint32).ravel()
+
+
+_QUADS = _digit_groups()
+
+
+def _write_indices(out, first) -> None:
+    """Write first, first + 1, ... in decimal, NUL-padded on the left, into
+    the rows of ``out``, a (rows, quads) uint32 view of NUL bytes; group g
+    of four digits, counted from the right, goes into column quads - 1 - g.
+    """
+    q = np.arange(first, first + len(out))
+    quads = out.shape[1]
+    for g in range(quads):
+        # q is each row's index // 10**(4g), and the indices ascend: rows
+        # before ``lo`` have no digits in group g and keep their NULs, and
+        # rows from ``above`` on have digits above it, so it is zero-padded
+        lo = max(0, 10 ** (4 * g) - first) if g else 0
+        above = max(0, 10 ** (4 * g + 4) - first)
+        higher = q // 10**4
+        key = q - higher * 10**4
+        key[above:] += 10**4
+        out[lo:, quads - 1 - g] = _QUADS[key[lo:]]
+        q = higher
 
 
 def _philox(seed: int, setting_index: int, chunk_index: int) -> np.random.Philox:
@@ -299,21 +365,26 @@ def sample_events(cfg: SamplerConfig) -> EventBatch:
 
 
 def estimate_correlation(events: EventBatch) -> tuple:
-    """(mean, standard error) of the product a * b over one setting.
+    """(mean, standard error) of the product a * b over one setting."""
+    counts = events.counts()
+    if np.count_nonzero(counts.reshape(len(counts), -1).sum(axis=1)) > 1:
+        raise MixedSettingsError("events span several settings")
+    return correlation_from_counts(counts.sum(axis=0))
+
+
+def correlation_from_counts(counts) -> tuple:
+    """(mean, standard error) of the product a * b over one setting's
+    event counts, indexed [raw1-1, raw2-1, obs1-1, obs2-1].
 
     t, the sum of a * b over the n events, is a @ obs @ b over the observed
     6x6 counts, in integers; each product is +/-1, so the sample variance
     is (n*n - t*t) / (n*(n-1)).
     """
-    counts = events.counts()
-    per_setting = counts.reshape(len(counts), -1).sum(axis=1)
-    n = int(per_setting.sum())
+    n = int(counts.sum())
     if n == 0:
         raise EmptyEventsError("no events")
-    if np.count_nonzero(per_setting) > 1:
-        raise MixedSettingsError("events span several settings")
     va = DEFAULT_ASSIGNMENT
-    t = int(np.asarray(va.a, dtype=np.int64) @ counts.sum(axis=(0, 1, 2)) @ va.b)
+    t = int(np.asarray(va.a, dtype=np.int64) @ counts.sum(axis=(0, 1)) @ va.b)
     var = (n * n - t * t) / (n * (n - 1)) if n > 1 else 0.0
     return t / n, math.sqrt(var / n)
 

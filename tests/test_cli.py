@@ -305,7 +305,8 @@ def test_sample_matches_benchmark_golden(config, tmp_path, capsys):
     assert digest == SAMPLE_RESULT_PINS[config]
 
 
-def test_sample_builds_one_histogram_per_setting(monkeypatch, capsys):
+def test_sample_builds_one_histogram(monkeypatch, capsys):
+    # the four settings' estimates are slices of one histogram of the batch
     sizes = []
     real = montecarlo.EventBatch.counts
 
@@ -315,7 +316,7 @@ def test_sample_builds_one_histogram_per_setting(monkeypatch, capsys):
 
     monkeypatch.setattr(montecarlo.EventBatch, "counts", counts)
     assert main(["sample", *IDEAL, "--n", "100", "--out", os.devnull]) == 0
-    assert sizes == [100] * 4
+    assert sizes == [400]
 
 
 def test_sample_run_does_not_import_numpy_ma(tmp_path):

@@ -1,7 +1,11 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,15 +252,116 @@ def test_row_keys_of_many_labels(n_labels, key_dtype, tmp_path):
     ref = np.zeros((n_labels, 6, 6, 6, 6), dtype=np.int64)
     np.add.at(ref, (b.setting_codes, b.raw1 - 1, b.raw2 - 1, b.obs1 - 1, b.obs2 - 1), 1)
     assert np.array_equal(b.counts(), ref)
-    # the CSV bytes of a row-by-row writer
+    b.to_csv(tmp_path / "events.csv")
+    expected = row_by_row_csv(b, [0.1 * c for c in range(n_labels)],
+                              [-0.3 * c for c in range(n_labels)])
+    assert (tmp_path / "events.csv").read_bytes() == expected.encode()
+
+
+def row_by_row_csv(batch, psi1, psi2):
+    """The CSV text of ``batch`` from a formatter of one row at a time, with
+    psi1[code] and psi2[code] the angles of each setting code."""
     va = DEFAULT_ASSIGNMENT
     lines = ["index,setting,psi1,psi2,raw1,raw2,obs1,obs2,a,b\n"]
-    for i, (c, r1, r2, o1, o2) in enumerate(zip(*(getattr(b, col).tolist()
+    for i, (c, r1, r2, o1, o2) in enumerate(zip(*(getattr(batch, col).tolist()
                                                   for col in COLUMNS))):
-        lines.append(f"{i},{b.labels[c]},{0.1 * c:.9g},{-0.3 * c:.9g},{r1},{r2},"
+        lines.append(f"{i},{batch.labels[c]},{psi1[c]:.9g},{psi2[c]:.9g},{r1},{r2},"
                      f"{o1},{o2},{va.a[o1 - 1]},{va.b[o2 - 1]}\n")
-    b.to_csv(tmp_path / "events.csv")
-    assert (tmp_path / "events.csv").read_text() == "".join(lines)
+    return "".join(lines)
+
+
+#: negative angles, 9 significant digits and exponent notation
+ORACLE_PSI1 = (-math.pi / 4, 1.23456789012, -2.718281828459045, 1e-10)
+ORACLE_PSI2 = (0.5, -1.99999999999, 12345.6789012, -3.5e-7)
+
+
+@pytest.mark.parametrize("chunk", (7, mc.CSV_CHUNK))
+def test_csv_bytes_equal_a_row_by_row_writer(chunk, monkeypatch, tmp_path):
+    # every row key first, so every (raw, obs) pair of each station under
+    # every label, then keys at random up to an index of 100 009
+    rows = 100_010
+    keys = np.concatenate([np.arange(4 * 6**4),
+                           np.random.default_rng(9).integers(0, 4 * 6**4, rows - 4 * 6**4)])
+    codes, *classes = np.unravel_index(keys, (4, 6, 6, 6, 6))
+    batch = EventBatch(SETTING_LABELS, ORACLE_PSI1, ORACLE_PSI2, codes.astype(np.uint8),
+                       *(c.astype(np.uint8) + 1 for c in classes))
+    # each change of the index's digit count falls inside one chunk
+    for k in (10, 100, 1000, 10_000, 100_000):
+        assert (k - 1) // chunk == k // chunk
+    monkeypatch.setattr(mc, "CSV_CHUNK", chunk)
+    batch.to_csv(tmp_path / "events.csv")
+    expected = row_by_row_csv(batch, ORACLE_PSI1, ORACLE_PSI2)
+    assert (tmp_path / "events.csv").read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("first", (0, 9_995, 99_999_995, 10**12 - 3, 10**16 - 2, 2**63 - 8))
+def test_index_digits_cross_every_group_of_four(first):
+    rows = 7
+    quads = -(-len(str(first + rows - 1)) // 4)
+    out = np.zeros((rows, quads), dtype=np.uint32)
+    mc._write_indices(out, first)
+    # NUL-padded on the left only
+    assert [row.tobytes().lstrip(b"\0") for row in out.view(np.uint8)] == \
+        [str(i).encode() for i in range(first, first + rows)]
+
+
+#: six rows over all four settings, as the lists that hand_batch makes uint8
+WIDE_COLUMNS = ([0, 1, 2, 3, 0, 1], [1, 2, 3, 4, 5, 6], [5, 6, 1, 2, 3, 4],
+                [1, 2, 3, 4, 1, 2], [5, 6, 1, 2, 1, 1])
+
+
+@pytest.mark.parametrize("column", (lambda c: np.array(c, dtype=np.int64),
+                                    lambda c: np.array(c, dtype=np.int32), list),
+                         ids=("int64", "int32", "list"))
+def test_columns_of_any_integer_type(column, tmp_path):
+    ref = hand_batch(*WIDE_COLUMNS)
+    batch = EventBatch(SETTING_LABELS, (0.0,) * 4, (0.0,) * 4,
+                       *(column(c) for c in WIDE_COLUMNS))
+    assert np.array_equal(batch.counts(), ref.counts())
+    assert estimate_chsh(batch.split_by_setting()) == estimate_chsh(ref.split_by_setting())
+    batch.to_csv(tmp_path / "wide.csv")
+    ref.to_csv(tmp_path / "uint8.csv")
+    assert (tmp_path / "wide.csv").read_bytes() == (tmp_path / "uint8.csv").read_bytes()
+
+
+#: labels and angles the writer cannot write: a NUL is its padding byte, a
+#: lone surrogate has no UTF-8 encoding, and three angles leave the fourth
+#: label's rows no tails
+UNWRITABLE = {
+    "nul_label": (("A\0B", "A'B", "AB'", "A'B'"), (0.0,) * 4),
+    "lone_surrogate": (("A\ud800B", "A'B", "AB'", "A'B'"), (0.0,) * 4),
+    "three_angles": (SETTING_LABELS, (0.0,) * 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNWRITABLE))
+def test_unwritable_batch_raises_before_the_file_opens(name, tmp_path):
+    labels, angles = UNWRITABLE[name]
+    batch = EventBatch(labels, angles, angles,
+                       *(np.array(c, dtype=np.uint8) for c in WIDE_COLUMNS))
+    with pytest.raises(ValueError):
+        batch.to_csv(tmp_path / "events.csv")
+    assert not (tmp_path / "events.csv").exists()
+
+
+def test_csv_is_utf8_under_an_ascii_locale(tmp_path):
+    # text-mode writes would follow the locale: under C without UTF-8 mode
+    # they raise on a non-ASCII label after the file is opened
+    src = str(Path(mc.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "import numpy as np\n"
+        "from biphoton.montecarlo import EventBatch\n"
+        "EventBatch(('\\u00e9', 'B', 'C', 'D'), (0.5,) * 4, (0.0,) * 4,\n"
+        "           *(np.array([c], np.uint8) for c in (0, 1, 1, 1, 6))\n"
+        f"           ).to_csv({str(tmp_path / 'e.csv')!r})\n"
+    )
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert (tmp_path / "e.csv").read_bytes().splitlines()[1] == \
+        "0,\u00e9,0.5,0,1,1,1,6,-1,1".encode()
 
 
 #: one bad class or code in row 1 of otherwise valid rows; unchecked, the
