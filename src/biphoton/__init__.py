@@ -14,12 +14,11 @@ from .bell import (
     table_for,
 )
 from .detection import (
-    DEFAULT_ASSIGNMENT,
+    VALUES,
     DetectorModel,
     ImpossibleCountError,
     JointProbabilityTable,
     StationOutcome,
-    ValueAssignment,
     apply_alpha_confusion,
     classify,
     closed_form_ideal_table,

@@ -12,10 +12,11 @@ with detector efficiency folding in as
 
     E(eta) = eta^2 E(1) + (1 - eta)^2,
 
-as the loss channel L (``detection.loss_channel``) maps the default values
-to L^T a = (1 - 2 eta, 1, 1, eta^2 + (1 - eta)^2, 1, (1 - 2 eta)^2).  Both
-identities are also available through the explicit joint table, and the
-two routes are kept independent so each checks the other.
+as the loss channel L (``detection.loss_channel``) maps the class values
+v = ``detection.VALUES`` to L^T v = (1 - 2 eta, 1, 1, eta^2 + (1 - eta)^2,
+1, (1 - 2 eta)^2).  Both identities are also available through the
+explicit joint table, and the two routes are kept independent so each
+checks the other.
 """
 
 import math
@@ -24,10 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import (
-    DEFAULT_ASSIGNMENT,
+    VALUES,
     DetectorModel,
     JointProbabilityTable,
-    ValueAssignment,
     apply_alpha_confusion,
     closed_form_ideal_table,
     joint_table,
@@ -37,6 +37,9 @@ from .detection import (
 SETTING_LABELS = ("AB", "A'B", "AB'", "A'B'")
 
 _TWO_PI = 2.0 * math.pi
+
+#: VALUES[i] * VALUES[j], the sign of cell [i, j] in E
+_SIGNS = np.outer(VALUES, VALUES).astype(float)
 
 
 @dataclass(frozen=True)
@@ -107,23 +110,18 @@ def table_for(psi: PsiAngles, model: DetectorModel) -> JointProbabilityTable:
     return apply_alpha_confusion(joint_table(theta1, theta2, model.eta), model.alpha)
 
 
-def correlation_from_table(
-    table: JointProbabilityTable,
-    values: ValueAssignment = DEFAULT_ASSIGNMENT,
-) -> float:
-    """E = sum_ij a_i b_j p[i][j] over the full 6x6 table."""
-    a = np.asarray(values.a, dtype=float)
-    b = np.asarray(values.b, dtype=float)
-    return float(a @ table.probs @ b)
+def correlation_from_table(table: JointProbabilityTable) -> float:
+    """E = sum_ij VALUES[i] VALUES[j] p[i][j] over the full 6x6 table.
+
+    Each signed cell is exact, so fsum returns the correctly rounded sum,
+    whatever the BLAS kernel or numpy version.
+    """
+    return math.fsum((_SIGNS * table.probs).ravel().tolist())
 
 
-def correlation_via_table(
-    psi: PsiAngles,
-    model: DetectorModel,
-    values: ValueAssignment = DEFAULT_ASSIGNMENT,
-) -> float:
+def correlation_via_table(psi: PsiAngles, model: DetectorModel) -> float:
     """Convenience: build the table for ``psi`` and contract it."""
-    return correlation_from_table(table_for(psi, model), values)
+    return correlation_from_table(table_for(psi, model))
 
 
 def chsh_combination(e) -> float:

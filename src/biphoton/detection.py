@@ -109,24 +109,10 @@ def classify(occ: OccupationVector) -> tuple:
     return tuple(outcomes)
 
 
-@dataclass(frozen=True)
-class ValueAssignment:
-    """Dichotomic +/-1 value per outcome class, one tuple per station.
-
-    The default assigns -1 only to a lone D- click (class 1) and +1 to
-    everything else, including no-click events.
-    """
-
-    a: tuple = (-1, 1, 1, 1, 1, 1)
-    b: tuple = (-1, 1, 1, 1, 1, 1)
-
-    def __post_init__(self):
-        for side in (self.a, self.b):
-            if len(side) != 6 or any(v not in (-1, 1) for v in side):
-                raise ValueError("values must be six entries of +/-1")
-
-
-DEFAULT_ASSIGNMENT = ValueAssignment()
+#: dichotomic value of each outcome class 1..6, the same at both stations:
+#: -1 only for a lone D- click (class 1), +1 for every other class,
+#: no-click events included
+VALUES = (-1, 1, 1, 1, 1, 1)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import SETTING_LABELS, ChshSettings, chsh_combination
-from .detection import DEFAULT_ASSIGNMENT, DetectorModel, StationOutcome, joint_table
+from .detection import VALUES, DetectorModel, StationOutcome, joint_table
 
 #: events drawn per Philox stream, and rows per bincount in EventBatch.counts
 CHUNK_SIZE = 1 << 16
@@ -93,7 +93,8 @@ class EventRecord:
 class EventBatch:
     """Column-oriented sequence of EventRecord.
 
-    Columns are numpy arrays; indexing with an int materializes a single
+    Columns are 1-D integer numpy arrays of one length, or lists that
+    convert to them; indexing with an int materializes a single
     EventRecord, slices and boolean masks return a new batch view.  The
     estimators and ``validate``'s frequency check read a batch only
     through ``counts()``, its integer histogram.
@@ -110,6 +111,17 @@ class EventBatch:
         self.raw2 = np.asarray(raw2)
         self.obs1 = np.asarray(obs1)
         self.obs2 = np.asarray(obs2)
+        # numpy would broadcast a short column and truncate a float class
+        for name in ("setting_codes", "raw1", "raw2", "obs1", "obs2"):
+            col = getattr(self, name)
+            if col.ndim != 1:
+                raise ValueError(f"{name} must be 1-D, got shape {col.shape}")
+            if len(col) != len(self.setting_codes):
+                raise ValueError(f"{name} has {len(col)} rows, setting_codes "
+                                 f"{len(self.setting_codes)}")
+            # an empty column has no class to misread, whatever its dtype
+            if len(col) and not np.issubdtype(col.dtype, np.integer):
+                raise ValueError(f"{name} must hold integers, got {col.dtype}")
 
     def __len__(self):
         return len(self.setting_codes)
@@ -132,8 +144,8 @@ class EventBatch:
                 raw=(StationOutcome(int(self.raw1[idx])),
                      StationOutcome(int(self.raw2[idx]))),
                 observed=(StationOutcome(obs1), StationOutcome(obs2)),
-                a=DEFAULT_ASSIGNMENT.a[obs1 - 1],
-                b=DEFAULT_ASSIGNMENT.b[obs2 - 1],
+                a=VALUES[obs1 - 1],
+                b=VALUES[obs2 - 1],
             )
         return EventBatch(
             self.labels, self._psi1, self._psi2,
@@ -212,13 +224,12 @@ class EventBatch:
         self._check_rows()
         if any("\0" in label for label in self.labels):
             raise ValueError("a label holds a NUL, the CSV writer's padding byte")
-        va = DEFAULT_ASSIGNMENT
         pairs = list(itertools.product(range(1, 7), repeat=2))
         # strict: a label without its angles would leave its keys no rows
         heads = [f",{label},{psi1:.9g},{psi2:.9g},".encode() for label, psi1, psi2
                  in zip(self.labels, self._psi1, self._psi2, strict=True)]
         raws = [f"{r1},{r2}," for r1, r2 in pairs]
-        observed = [f"{o1},{o2},{va.a[o1 - 1]},{va.b[o2 - 1]}\n" for o1, o2 in pairs]
+        observed = [f"{o1},{o2},{VALUES[o1 - 1]},{VALUES[o2 - 1]}\n" for o1, o2 in pairs]
         outcomes = [(r + o).encode() for r in raws for o in observed]
         width = max(map(len, outcomes))
         outcomes = np.frombuffer(b"".join(o.ljust(width, b"\0") for o in outcomes),
@@ -376,15 +387,14 @@ def correlation_from_counts(counts) -> tuple:
     """(mean, standard error) of the product a * b over one setting's
     event counts, indexed [raw1-1, raw2-1, obs1-1, obs2-1].
 
-    t, the sum of a * b over the n events, is a @ obs @ b over the observed
-    6x6 counts, in integers; each product is +/-1, so the sample variance
-    is (n*n - t*t) / (n*(n-1)).
+    t, the sum of a * b over the n events, is VALUES @ obs @ VALUES over
+    the observed 6x6 counts, in integers; each product is +/-1, so the
+    sample variance is (n*n - t*t) / (n*(n-1)).
     """
     n = int(counts.sum())
     if n == 0:
         raise EmptyEventsError("no events")
-    va = DEFAULT_ASSIGNMENT
-    t = int(np.asarray(va.a, dtype=np.int64) @ counts.sum(axis=(0, 1)) @ va.b)
+    t = int(np.array(VALUES) @ counts.sum(axis=(0, 1)) @ VALUES)
     var = (n * n - t * t) / (n * (n - 1)) if n > 1 else 0.0
     return t / n, math.sqrt(var / n)
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
@@ -15,11 +16,11 @@ from biphoton.bell import (
     correlation_from_table,
     correlation_via_table,
     hom_port_probabilities,
-    table_for,
 )
 from biphoton.detection import (
+    VALUES,
     DetectorModel,
-    ValueAssignment,
+    apply_alpha_confusion,
     closed_form_ideal_table,
     joint_table,
 )
@@ -93,14 +94,17 @@ def test_correlation_routes_agree_on_sweep():
         assert abs(closed - tabled) < 1e-10
 
 
-def test_correlation_from_table_with_custom_values():
-    # flipping every station-1 value flips the sign of E
-    psi = PsiAngles(0.9, 0.4)
-    table = table_for(psi, DetectorModel())
-    flipped = ValueAssignment(a=(1, -1, -1, -1, -1, -1), b=(-1, 1, 1, 1, 1, 1))
-    assert abs(
-        correlation_from_table(table, flipped) + correlation_from_table(table)
-    ) < 1e-12
+def test_correlation_from_table_is_the_correctly_rounded_signed_sum():
+    # the exact sum of the 36 signed cells, rounded once: the same bytes on
+    # every BLAS kernel, which a float matrix product does not promise
+    rng = np.random.default_rng(47)
+    for _ in range(500):
+        theta1, theta2 = rng.uniform(-10.0, 10.0, 2)
+        table = apply_alpha_confusion(joint_table(theta1, theta2, rng.uniform(1e-3, 1.0)),
+                                      rng.random())
+        exact = sum(Fraction(VALUES[i] * VALUES[j]) * Fraction(p)
+                    for (i, j), p in np.ndenumerate(table.probs))
+        assert correlation_from_table(table) == float(exact)
 
 
 def _table_chsh(settings_, model):
@@ -126,7 +130,7 @@ def test_chsh_alpha0_angle_tuple():
 #: sha256 over 2,000 seeded points of the closed-form S, the table-route S
 #: and ``chsh_from_correlations``' (S, standard error) of seeded
 #: (mean, standard error) pairs, each as float64 bytes
-CHSH_PIN = "412de4fb130aa2d24c52e89efd5c94d0b15ca2c7a20ed528a8e5954764357b87"
+CHSH_PIN = "a9539a161fa72c6578f025427243ad63a8254be41991973ea1dc6f5fa9f3e7c8"
 
 
 def test_chsh_bytes_are_pinned():

@@ -229,15 +229,15 @@ def test_table_outputs_are_pinned(argv, json_sha, csv_sha, fmt, capsys):
 #: sha256 of stdout per argv, for the commands that print only JSON
 JSON_PINS = (
     (["correlation", "0.3", "1.1"],
-     "c738a1c497efeaa8c5acfac065f91bc524ebdefbada958b5866fba5ac6797e12"),
+     "d1558c5114730db97ea4b39d385c1d18a49383ff5cdd2d447a43fca123c4f764"),
     (["correlation", "0.3", "1.1", "--eta", "0.8", "--alpha", "0.4"],
-     "b9ea769cff644803bda9e4918ee429f2b53bc144539d5b64c2bd3ed02f68ff37"),
+     "aa86ac2e5f05d3add45fc73f0b20f3140a0ed7bdfb0237ac621536d7deb24263"),
     (["chsh", *IDEAL],
      "c5085c1f8932952369110b486c6a6923ac9439c8754d1d5b61fe71f334c3b219"),
     (["chsh", "0.1", "0.9", "-0.4", "2.2", "--eta", "0.85", "--alpha", "0.5"],
-     "1a02cc5236dc2a4b439c6cec941c9acfd74a297f8ea0fbc61e581ff8da322a61"),
+     "cfa9fb1b303630268f62d4f0f436d8d3bf92acc8e2705da0ddb2a5775f5ef8de"),
     (["chsh", "0", "90", "45", "135", "--degrees", "--eta", "0.9", "--alpha", "0.2"],
-     "41f5cc600ced997ddff97f171f681f231d807c2f245492d6af71bf667887674a"),
+     "f890bace5bd102d908603e227892406371260ea08202df58b0ce53d47dacca9b"),
     (["optimize"],
      "9164cd9f915c121d4b354448fcda6af5a9a9e18ccfc96420c9e524aa02b043d7"),
     (["optimize", "--eta", "0.9", "--alpha", "0.3", "--starts", "4"],

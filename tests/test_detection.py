@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 from biphoton import detection, optics
 from biphoton.bell import correlation_from_table
 from biphoton.detection import (
-    DEFAULT_ASSIGNMENT,
+    VALUES,
     DetectorModel,
     ImpossibleCountError,
     JointProbabilityTable,
     StationOutcome,
-    ValueAssignment,
     apply_alpha_confusion,
     classify,
     closed_form_ideal_table,
@@ -74,14 +73,7 @@ def test_classify_rejects_impossible_counts():
 
 def test_default_value_assignment():
     # -1 only for a lone D- click, class 1, at either station
-    assert DEFAULT_ASSIGNMENT.a == DEFAULT_ASSIGNMENT.b == (-1, 1, 1, 1, 1, 1)
-
-
-def test_value_assignment_validation():
-    with pytest.raises(ValueError):
-        ValueAssignment(a=(1, 1, 1), b=(-1, 1, 1, 1, 1, 1))
-    with pytest.raises(ValueError):
-        ValueAssignment(a=(0, 1, 1, 1, 1, 1), b=(-1, 1, 1, 1, 1, 1))
+    assert VALUES == (-1, 1, 1, 1, 1, 1)
 
 
 def test_detector_model_validation():
@@ -165,7 +157,7 @@ def test_table_bytes_are_pinned():
 #: sha256 over alpha in (1, 0.75, 0) and ``_pinned_grid()`` of the confused
 #: tables' ``probs.tobytes()``, and of ``repr`` of their correlations
 CONFUSION_PIN = "cf467353ac66489d610a00bf547e8125c19a9ccac95e59e16dbdd2f7e1d8775e"
-CORRELATION_PIN = "56152d027fb1cf76fe6cbdbabe9b79bf0377ae9e2be2e673f65892e4d6035042"
+CORRELATION_PIN = "b48d5409ea03917aa0971a780a7300d40b3cf165d2e86abd71b45fd9bc7051f6"
 
 
 def test_confused_table_and_correlation_bytes_are_pinned():
@@ -177,7 +169,7 @@ def test_confused_table_and_correlation_bytes_are_pinned():
 LOSSLESS_PINS = (
     "774b8657707955d13459b032f8bd1b1569407939dde82a473e722bb73b913203",
     "439d32fb0758d16894f508132ea50ffb4571330e1597ebc5506a3d60257023d9",
-    "ad85233cddb8176059d766779d4a1c37a63704c58282549868611e7de17f69ae",
+    "1e980c10e9f3d071f8ef5882173dba754ac7e5b6dbe019ff7f5bcc7a2d43a5bb",
 )
 
 
@@ -211,7 +203,7 @@ def test_loss_channel_is_the_identity_at_unit_efficiency():
 def test_loss_channel_pulls_back_the_default_values(eta):
     # the value a class's record reads as on average; E(eta) = eta^2 E(1)
     # + (1 - eta)^2 follows from it
-    pulled = loss_channel(eta).T @ np.array(DEFAULT_ASSIGNMENT.a, dtype=float)
+    pulled = loss_channel(eta).T @ np.array(VALUES, dtype=float)
     ref = (1 - 2 * eta, 1, 1, eta**2 + (1 - eta) ** 2, 1, (1 - 2 * eta) ** 2)
     assert np.max(np.abs(pulled - ref)) < 1e-15
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import biphoton.montecarlo as mc
 from biphoton import selftest
 from biphoton.bell import SETTING_LABELS, ChshSettings, PsiAngles, chsh
-from biphoton.detection import DEFAULT_ASSIGNMENT, DetectorModel, joint_table
+from biphoton.detection import VALUES, DetectorModel, joint_table
 from biphoton.montecarlo import (
     EmptyEventsError,
     EventBatch,
@@ -261,12 +261,11 @@ def test_row_keys_of_many_labels(n_labels, key_dtype, tmp_path):
 def row_by_row_csv(batch, psi1, psi2):
     """The CSV text of ``batch`` from a formatter of one row at a time, with
     psi1[code] and psi2[code] the angles of each setting code."""
-    va = DEFAULT_ASSIGNMENT
     lines = ["index,setting,psi1,psi2,raw1,raw2,obs1,obs2,a,b\n"]
     for i, (c, r1, r2, o1, o2) in enumerate(zip(*(getattr(batch, col).tolist()
                                                   for col in COLUMNS))):
         lines.append(f"{i},{batch.labels[c]},{psi1[c]:.9g},{psi2[c]:.9g},{r1},{r2},"
-                     f"{o1},{o2},{va.a[o1 - 1]},{va.b[o2 - 1]}\n")
+                     f"{o1},{o2},{VALUES[o1 - 1]},{VALUES[o2 - 1]}\n")
     return "".join(lines)
 
 
@@ -322,6 +321,42 @@ def test_columns_of_any_integer_type(column, tmp_path):
     batch.to_csv(tmp_path / "wide.csv")
     ref.to_csv(tmp_path / "uint8.csv")
     assert (tmp_path / "wide.csv").read_bytes() == (tmp_path / "uint8.csv").read_bytes()
+
+
+#: columns that numpy would broadcast, truncate or misread, each with the
+#: column that the error names; every other column is WIDE_COLUMNS'
+MALFORMED_COLUMNS = {
+    "short": ("raw1", np.array([2], np.uint8)),
+    "long": ("obs2", np.arange(1, 8, dtype=np.uint8) % 6 + 1),
+    "float_class": ("raw1", np.array([1.5, 2.0, 3.0, 4.0, 5.0, 6.0])),
+    "float_observed": ("obs1", np.array([1.9, 2.0, 3.0, 4.0, 1.0, 2.0])),
+    "float_code": ("setting_codes", np.array([0.0, 1.0, 2.0, 3.0, 0.0, 1.0])),
+    "bool": ("obs2", np.ones(6, dtype=bool)),
+    "two_dim": ("raw2", np.array(WIDE_COLUMNS[2], np.uint8).reshape(6, 1)),
+    "scalar_code": ("setting_codes", np.uint8(0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_COLUMNS))
+def test_malformed_column_raises_naming_it(name):
+    column, value = MALFORMED_COLUMNS[name]
+    columns = dict(zip(COLUMNS, WIDE_COLUMNS), **{column: value})
+    with pytest.raises(ValueError, match=f"^{column} "):
+        EventBatch(SETTING_LABELS, (0.0,) * 4, (0.0,) * 4, *columns.values())
+
+
+@pytest.mark.parametrize("empty", (list, lambda: np.array([]),
+                                   lambda: np.array([], np.uint8)),
+                         ids=("list", "float64", "uint8"))
+def test_empty_columns_of_any_dtype(empty, tmp_path):
+    batch = EventBatch(SETTING_LABELS, (0.0,) * 4, (0.0,) * 4,
+                       *(empty() for _ in COLUMNS))
+    assert len(batch) == 0
+    assert not batch.counts().any()
+    assert [len(b) for b in batch.split_by_setting().values()] == [0] * 4
+    batch.to_csv(tmp_path / "empty.csv")
+    assert (tmp_path / "empty.csv").read_bytes() == \
+        b"index,setting,psi1,psi2,raw1,raw2,obs1,obs2,a,b\n"
 
 
 #: labels and angles the writer cannot write: a NUL is its padding byte, a
